@@ -141,6 +141,14 @@ outputs=… fnv=…` line per tag-23 frame and a final `ensemble …`
 summary line from the tag-24 terminator.
 ";
 
+/// Why `plinger-serve` exits nonzero.
+enum Failure {
+    /// A bad command line: printed with the usage text, exit 2.
+    Usage(String),
+    /// The server or the request failed: printed alone, exit 1.
+    Run(String),
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mode = args
@@ -149,13 +157,19 @@ fn main() -> ExitCode {
     let result = match mode.map(|i| args[i].as_str()) {
         Some("--listen") => server_main(&args),
         Some("--connect") => client_main(&args),
-        _ => Err("need --listen ADDR (server) or --connect ADDR (client)".into()),
+        _ => Err(Failure::Usage(
+            "need --listen ADDR (server) or --connect ADDR (client)".into(),
+        )),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}\n\n{USAGE}");
             ExitCode::from(2)
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -191,7 +205,25 @@ fn install_term_handler() {
 
 // ---------------------------------------------------------------- server
 
-fn server_main(args: &[String]) -> Result<(), String> {
+fn server_main(args: &[String]) -> Result<(), Failure> {
+    let (settings, cfg, fault) = parse_server(args).map_err(Failure::Usage)?;
+    settings.apply_log();
+    install_term_handler();
+    match settings.transport {
+        TransportKind::Channel => {
+            serve::<ChannelWorld>(&settings, &cfg, fault).map_err(Failure::Run)
+        }
+        TransportKind::Shmem => serve::<ShmemWorld>(&settings, &cfg, fault).map_err(Failure::Run),
+        TransportKind::Tcp => Err(Failure::Usage(
+            "plinger-serve pools thread transports; use --transport channel|shmem".into(),
+        )),
+    }
+}
+
+/// Parse the server command line.
+fn parse_server(
+    args: &[String],
+) -> Result<(FarmSettings, ServeSettings, Option<FaultPlan>), String> {
     let mut farm = FarmArgs::default();
     let mut serve_args = ServeArgs::default();
     let mut fault = None;
@@ -212,17 +244,7 @@ fn server_main(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown server flag {other}")),
         }
     }
-    let settings = farm.build()?;
-    let cfg = serve_args.build()?;
-    settings.apply_log();
-    install_term_handler();
-    match settings.transport {
-        TransportKind::Channel => serve::<ChannelWorld>(&settings, &cfg, fault),
-        TransportKind::Shmem => serve::<ShmemWorld>(&settings, &cfg, fault),
-        TransportKind::Tcp => {
-            Err("plinger-serve pools thread transports; use --transport channel|shmem".into())
-        }
-    }
+    Ok((farm.build()?, serve_args.build()?, fault))
 }
 
 /// Parse the hidden `--fault` spec: `drop:RANK:AFTER`,
@@ -888,7 +910,33 @@ enum ClientError {
     Fatal(String),
 }
 
-fn client_main(args: &[String]) -> Result<(), String> {
+/// A parsed client command line.
+struct ClientArgs {
+    addr: String,
+    want_metrics: bool,
+    retries: u32,
+    retry_base_ms: u64,
+    spectrum: SpectrumRequest,
+    /// Set in `--ensemble` mode, which sends this sweep instead of
+    /// `spectrum`.
+    ensemble: Option<EnsembleRequest>,
+}
+
+fn client_main(args: &[String]) -> Result<(), Failure> {
+    let cli = parse_client(args).map_err(Failure::Usage)?;
+    match &cli.ensemble {
+        Some(request) => with_retries(&cli, plinger::ensemble_hash(&request.ens), || {
+            client_ensemble_once(&cli.addr, request)
+        }),
+        None => with_retries(&cli, job_hash(&cli.spectrum.spec), || {
+            client_once(&cli.addr, &cli.spectrum, cli.want_metrics)
+        }),
+    }
+    .map_err(Failure::Run)
+}
+
+/// Parse the client command line.
+fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
     let mut spec = SpecArgs::default();
     let mut connect = None;
     let mut want_metrics = false;
@@ -927,45 +975,40 @@ fn client_main(args: &[String]) -> Result<(), String> {
     }
     let addr = connect.ok_or("--connect needs a value")?;
     let base = spec.build()?;
-    if let Some(ens) = ens_args.build(base.clone())? {
-        let request = EnsembleRequest { ens, deadline_ms };
-        let key = plinger::ensemble_hash(&request.ens);
-        let mut attempt = 0u32;
-        loop {
-            match client_ensemble_once(&addr, &request) {
-                Ok(()) => return Ok(()),
-                Err(ClientError::Fatal(msg)) => return Err(msg),
-                Err(ClientError::Retryable { hint_ms, what }) => {
-                    if attempt >= retries {
-                        return Err(format!("giving up after {} attempts: {what}", attempt + 1));
-                    }
-                    let delay = backoff_ms(key, attempt, retry_base_ms, hint_ms);
-                    eprintln!(
-                        "plinger-serve: attempt {} refused ({what}); retrying in {delay} ms",
-                        attempt + 1
-                    );
-                    std::thread::sleep(Duration::from_millis(delay));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-    let request = SpectrumRequest {
-        spec: base,
-        deadline_ms,
-    };
-    let key = job_hash(&request.spec);
+    let ensemble = ens_args
+        .build(base.clone())?
+        .map(|ens| EnsembleRequest { ens, deadline_ms });
+    Ok(ClientArgs {
+        addr,
+        want_metrics,
+        retries,
+        retry_base_ms,
+        spectrum: SpectrumRequest {
+            spec: base,
+            deadline_ms,
+        },
+        ensemble,
+    })
+}
 
+/// Repeat `once` until it succeeds, fails for good, or has been refused
+/// `cli.retries + 1` times, backing off between refusals (`key` seeds
+/// the jitter).
+fn with_retries(
+    cli: &ClientArgs,
+    key: u64,
+    mut once: impl FnMut() -> Result<(), ClientError>,
+) -> Result<(), String> {
     let mut attempt = 0u32;
     loop {
-        match client_once(&addr, &request, want_metrics) {
+        match once() {
             Ok(()) => return Ok(()),
             Err(ClientError::Fatal(msg)) => return Err(msg),
             Err(ClientError::Retryable { hint_ms, what }) => {
-                if attempt >= retries {
+                if attempt >= cli.retries {
                     return Err(format!("giving up after {} attempts: {what}", attempt + 1));
                 }
-                let delay = backoff_ms(key, attempt, retry_base_ms, hint_ms);
+                let delay = backoff_ms(key, attempt, cli.retry_base_ms, hint_ms);
                 eprintln!(
                     "plinger-serve: attempt {} refused ({what}); retrying in {delay} ms",
                     attempt + 1

@@ -1,6 +1,6 @@
 //! The typed error taxonomy of a farm session.
 //!
-//! Everything that can go wrong between `Farm::run`'s broadcast and its
+//! Everything that can go wrong between a job's tag-10 open and its
 //! final report is named here, so callers (the CLI, the bench binaries,
 //! the tests) can distinguish a transport that failed to assemble from a
 //! worker that died mid-mode from a mode integration that blew up —
@@ -34,10 +34,10 @@ impl fmt::Display for CancelReason {
 /// A farm session failure.
 #[derive(Debug)]
 pub enum FarmError {
-    /// The session never started: world assembly or the tag-1 spec
-    /// broadcast failed.  Broadcast is all-or-nothing for the farm — a
-    /// partial broadcast (see `Transport::broadcast`) leaves workers in
-    /// mixed states, so any broadcast error lands here and aborts.
+    /// The session never started: world assembly failed, or (under
+    /// FailFast) a tag-10 job open could not be sent.  A job opened on
+    /// only some workers leaves them in mixed states, so any such send
+    /// error lands here and aborts.
     Setup(CommError),
     /// A transport operation failed mid-session.
     Comm(CommError),
@@ -56,7 +56,7 @@ pub enum FarmError {
         /// The decode failure.
         source: WireError,
     },
-    /// The tag-1 run-spec broadcast failed to decode on a worker.
+    /// The tag-1/10 run spec failed to decode on a worker.
     SpecDecode(SpecDecodeError),
     /// A mode integration failed on a worker (reported via tag 8).
     Evolve {

@@ -8,17 +8,19 @@
 //! back (150 bytes – 80 kB, "roughly in proportion to the CPU time").
 //!
 //! This crate reproduces that farm over the `msgpass` wrapper routines:
-//! the message tags of Appendix A (1–6, plus tags 7–8 for statistics
-//! and failure reports), the master subroutine (`parentsub`) hardened
-//! into a liveness-aware session loop, the worker subroutine
-//! (`kidsub`), largest-k-first scheduling ("one simple method by which
-//! we minimized this idle time"), and the timing accounting behind the
-//! paper's Figure 1 and §5.1 flop rates.
+//! the message tags of Appendix A (1–6, plus tags 7–13 for statistics,
+//! failure reports, heartbeats, and job control), the master
+//! subroutine (`parentsub`) hardened into a liveness-aware job loop,
+//! the worker subroutine (`kidsub`), largest-k-first scheduling ("one
+//! simple method by which we minimized this idle time"), and the timing
+//! accounting behind the paper's Figure 1 and §5.1 flop rates.
 //!
-//! The entry point is [`Farm`]: one transport-generic session type that
-//! assembles a world, spawns workers, runs the master loop, and returns
-//! a [`FarmReport`] — or a typed [`FarmError`] naming exactly what
-//! failed, with no panics on the communication path.
+//! The farm has one lifecycle: a pool of resident workers
+//! ([`FarmPool`] over threads, [`TcpFarmPool`] over subprocesses) that
+//! serves k-grid jobs until it is shut down.  [`Farm`] is the one-job
+//! entry point — start a pool, run one job, shut it down — returning a
+//! [`FarmReport`] or a typed [`FarmError`] naming exactly what failed,
+//! with no panics on the communication path.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -47,10 +49,7 @@ pub use farm::{
     parse_worker_fault, run_serial, run_tcp_processes, run_tcp_worker, Farm, FarmReport, FaultPlan,
     TcpFarmOptions,
 };
-pub use master::{
-    master_job_session, master_job_session_prefetch, master_loop, master_session, JobControl,
-    MasterConfig, MasterLedger, SessionKind,
-};
+pub use master::{master_job_session, JobControl, MasterConfig, MasterLedger};
 pub use pool::{FarmPool, PoolOptions, PoolShutdown, Session, TcpFarmPool};
 pub use protocol::{
     cosmo_hash, hash_reals, job_hash, RunSpec, SpecDecodeError, TAG_ASSIGN, TAG_CANCEL, TAG_DATA,
@@ -68,7 +67,4 @@ pub use service::{
     TAG_RESP_SPECTRUM,
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
-pub use worker::{
-    worker_loop, worker_loop_limited, worker_pool_session, worker_session, PoolWorkerOutcome,
-    WorkerContext, WorkerFault, WorkerOutcome, WorkerStats,
-};
+pub use worker::{worker_pool_session, PoolWorkerOutcome, WorkerFault, WorkerStats};

@@ -10,8 +10,8 @@
 //! * under [`RecoveryPolicy::FailFast`] any abnormal event — worker
 //!   death, a tag-8 failure report, an unexpected tag, a malformed
 //!   result — routes through one drain-and-stop shutdown that flushes
-//!   tag-6 stops to all surviving workers and collects what statistics
-//!   it can before returning the typed error;
+//!   tag-11 releases to all surviving workers and collects what
+//!   statistics it can before returning the typed error;
 //! * under [`RecoveryPolicy::Requeue`] the dead rank's in-flight mode
 //!   goes back to the head of the work queue and is redistributed to
 //!   survivors (state machine: *in-flight → requeued*, or *in-flight →
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use boltzmann::ModeOutput;
 use msgpass::wrappers::*;
-use msgpass::{Rank, Tag, Transport};
+use msgpass::{Rank, Transport};
 use telemetry::{SpanEvent, SpanRecorder};
 
 use telemetry::log::{self as tlog, Level};
@@ -37,7 +37,7 @@ use telemetry::log::{self as tlog, Level};
 use crate::error::{CancelReason, FarmError};
 use crate::protocol::{
     job_hash, RunSpec, TAG_ASSIGN, TAG_CANCEL, TAG_DATA, TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT,
-    TAG_INIT, TAG_JOBDONE, TAG_NEWJOB, TAG_PREFETCH, TAG_REQUEST, TAG_STATS, TAG_STOP,
+    TAG_INIT, TAG_JOBDONE, TAG_NEWJOB, TAG_PREFETCH, TAG_REQUEST, TAG_STATS,
 };
 use crate::recovery::{FailedMode, RecoveryLog, RecoveryPolicy, WorkerEvent};
 use crate::schedule::{SchedulePolicy, WorkQueue};
@@ -78,38 +78,6 @@ impl Default for MasterConfig {
     }
 }
 
-/// How a master session relates to its workers' lifetimes.
-///
-/// The session loop itself is identical either way — hand out modes,
-/// collect results, recover casualties — but the messages that open and
-/// close a job differ:
-///
-/// * [`SessionKind::OneShot`]: the historical `Farm::run` shape.  The
-///   job opens with a tag-1 broadcast and closes by *stopping* workers
-///   (tag 6); their session ends with the job.
-/// * [`SessionKind::Pooled`]: a `FarmPool` job.  The job opens with
-///   per-rank tag-10 `NewJob` sends (skipping ranks already known dead
-///   from earlier jobs) and closes by *releasing* workers (tag 11);
-///   they answer with per-job stats and park warm for the next job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionKind {
-    /// One job, one worker lifetime (tag 1 open, tag 6 close).
-    OneShot,
-    /// One job on resident workers (tag 10 open, tag 11 close).
-    Pooled,
-}
-
-impl SessionKind {
-    /// The tag that idles a worker at the end of this session: a stop
-    /// for one-shot workers, a job-done release for pooled ones.
-    fn release_tag(self) -> Tag {
-        match self {
-            SessionKind::OneShot => TAG_STOP,
-            SessionKind::Pooled => TAG_JOBDONE,
-        }
-    }
-}
-
 /// External control of a running job: a wall-clock deadline and/or a
 /// shared cancel flag, both optional.  The master checks it once per
 /// poll interval; when either trigger fires it broadcasts tag-12
@@ -145,7 +113,7 @@ pub struct MasterLedger {
     /// Finished modes, indexed like `spec.ks` (every slot filled on
     /// success; quarantined modes leave `None` holes).
     pub outputs: Vec<Option<ModeOutput>>,
-    /// Wall-clock seconds of the master loop (broadcast → last stop).
+    /// Wall-clock seconds of the master loop (job open → last release).
     pub wall_seconds: f64,
     /// Bytes received from workers (tags 4 + 5).
     pub bytes_received: usize,
@@ -172,11 +140,8 @@ struct Session {
     outputs: Vec<Option<ModeOutput>>,
     completion_log: Vec<(usize, usize)>,
     bytes_received: usize,
-    /// Ranks the stop message has been sent to.
+    /// Ranks the tag-11 release has been sent to.
     stopped: HashSet<Rank>,
-    /// The tag that idles a worker when its part of the job is over
-    /// (tag 6 one-shot, tag 11 pooled) — see [`SessionKind`].
-    release_tag: Tag,
     /// Statistics by worker index (rank − 1).
     stats: Vec<Option<WorkerStats>>,
     n_workers: usize,
@@ -196,6 +161,9 @@ struct Session {
     /// Idle ranks held back from their stop because another worker still
     /// carries a mode that may yet be requeued (Requeue policy only).
     parked: HashSet<Rank>,
+    /// Ranks that have asked for work this job.  Every live rank that
+    /// has not keeps a chunk of the queue reserved (see `dispatch`).
+    asked: HashSet<Rank>,
     /// Modes that exhausted their attempt budget.
     quarantined: HashSet<usize>,
     /// Counters for every recovery action.
@@ -207,9 +175,9 @@ struct Session {
     /// Accumulated idle seconds.
     idle_seconds: f64,
     /// Encoded spec of the *next* job, appended as a tag-13 prefetch
-    /// hint to each pooled release so the worker warms the next job's
-    /// physics tables while its peers finish this job's tail chunks.
-    /// `None` (the default) sends no hint; one-shot sessions ignore it.
+    /// hint to each release so the worker warms the next job's physics
+    /// tables while its peers finish this job's tail chunks.  `None`
+    /// (the default) sends no hint.
     prefetch_wire: Option<Vec<f64>>,
     /// Canonical request identity ([`job_hash`] of the spec, rendered
     /// as 16 hex digits) — stamped on every span and log event this
@@ -263,17 +231,30 @@ impl Session {
     }
 
     /// Reply to a ready worker: next assignment (a chunk of up to
-    /// `self.chunk` modes in one tag-3 message), or stop.  A worker
+    /// `self.chunk` modes in one tag-3 message), or release.  A worker
     /// still part-way through a chunk gets nothing — it is refilled
     /// only once its last in-flight mode resolves.  Under the Requeue
-    /// policy a worker with no pending work is *parked* (no reply yet)
-    /// while other workers still carry modes that may come back to the
-    /// queue.
+    /// policy a worker with no work it may take is *parked* (no reply
+    /// yet) while other workers still carry modes that may come back to
+    /// the queue, or a live rank that has not asked yet may still take
+    /// the chunk kept for it.
     fn dispatch<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
         if !self.in_flight[rank - 1].is_empty() {
             return Ok(());
         }
-        let iks = self.queue.pop_chunk(self.chunk);
+        // keep a chunk for every live rank that has not asked yet, so a
+        // worker that built its physics tables first cannot drain a
+        // short queue before its peers ask at all; the job cannot end
+        // before they ask anyway, so this costs at most one chunk-time
+        let unasked = (1..=self.n_workers)
+            .filter(|&r| r != rank && !self.asked.contains(&r) && !self.dead.contains(&r))
+            .count();
+        let free = self.queue.len().saturating_sub(unasked * self.chunk);
+        let iks = if free > 0 {
+            self.queue.pop_chunk(self.chunk.min(free))
+        } else {
+            Vec::new()
+        };
         if !iks.is_empty() {
             let t0 = Instant::now();
             let wire: Vec<f64> = iks.iter().map(|&ik| ik as f64).collect();
@@ -306,18 +287,16 @@ impl Session {
         Ok(())
     }
 
-    /// Send a rank its release and, for pooled sessions with a next-job
-    /// hint set, follow it with a tag-13 prefetch so the worker warms
-    /// the next job's physics tables while it parks.  The hint is
-    /// best-effort: a rank that cannot take it is already being handled
-    /// by the watch, and the next job re-announces its spec anyway.
+    /// Send a rank its tag-11 release and, with a next-job hint set,
+    /// follow it with a tag-13 prefetch so the worker warms the next
+    /// job's physics tables while it parks.  The hint is best-effort: a
+    /// rank that cannot take it is already being handled by the watch,
+    /// and the next job re-announces its spec anyway.
     fn release<T: Transport>(&mut self, t: &mut T, rank: Rank) -> Result<(), FarmError> {
-        mysendreal(t, &[0.0], self.release_tag, rank)?;
+        mysendreal(t, &[0.0], TAG_JOBDONE, rank)?;
         self.stopped.insert(rank);
-        if self.release_tag == TAG_JOBDONE {
-            if let Some(wire) = self.prefetch_wire.as_ref() {
-                let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
-            }
+        if let Some(wire) = self.prefetch_wire.as_ref() {
+            let _ = mysendreal(t, wire, TAG_PREFETCH, rank);
         }
         Ok(())
     }
@@ -349,8 +328,8 @@ impl Session {
         Ok(())
     }
 
-    /// Release every parked worker with a stop (called once all modes
-    /// are settled).
+    /// Release every parked worker (called once all modes are
+    /// settled).
     fn stop_parked<T: Transport>(&mut self, t: &mut T) -> Result<(), FarmError> {
         if self.parked.is_empty() {
             return Ok(());
@@ -460,7 +439,13 @@ impl Session {
             ],
         );
         self.parked.remove(&rank);
-        self.recover_chunk(t, rank, reason)
+        self.recover_chunk(t, rank, reason)?;
+        // a rank that died before asking frees the chunk reserved for it
+        let parked: Vec<Rank> = self.parked.drain().collect();
+        for rank in parked {
+            self.dispatch(t, rank)?;
+        }
+        Ok(())
     }
 
     /// Fold a batch of watch events into the session.  Returns
@@ -499,11 +484,13 @@ impl Session {
                     // without a Dead first; whatever the old incarnation
                     // was holding died with it
                     self.recover_chunk(t, rank, "worker respawned")?;
+                    // the replacement must ask for work again
+                    self.asked.remove(&rank);
                     self.last_seen[rank - 1] = Instant::now();
                     self.recovery.respawns += 1;
-                    // the replacement process missed the tag-1 broadcast;
-                    // re-send the spec point-to-point, it will answer with
-                    // a tag-2 work request like any fresh worker
+                    // the replacement missed the tag-10 job open; send it
+                    // the spec as a tag-1 init, and it will answer with a
+                    // tag-2 work request like any fresh worker
                     mysendreal(t, spec_wire, TAG_INIT, rank)?;
                     self.rec.record(
                         "recover",
@@ -560,7 +547,7 @@ impl Session {
         let ws = WorkerStats::from_wire(payload).ok_or_else(|| FarmError::Protocol {
             rank,
             detail: format!(
-                "stats message must be 4, 8, 9, or 10 finite non-negative reals, got {} values",
+                "stats message must be 10 finite non-negative reals, got {} values",
                 payload.len()
             ),
         })?;
@@ -570,9 +557,9 @@ impl Session {
         Ok(())
     }
 
-    /// Flush stops to every worker not yet stopped, then drain pending
-    /// messages (collecting statistics) until the deadline or until
-    /// every live worker has reported.  Send errors are ignored: some of
+    /// Flush tag-11 releases to every worker not yet released, then
+    /// drain pending messages (collecting statistics) until the deadline
+    /// or until every live worker has reported.  Send errors are ignored: some of
     /// these workers may already be gone, and the point is to unblock
     /// the survivors.
     fn drain_and_stop<T: Transport>(
@@ -583,7 +570,7 @@ impl Session {
     ) {
         for rank in 1..=self.n_workers {
             if !self.stopped.contains(&rank) {
-                let _ = mysendreal(t, &[0.0], self.release_tag, rank);
+                let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
                 self.stopped.insert(rank);
             }
         }
@@ -622,8 +609,8 @@ impl Session {
     /// Cooperatively cancel the job: tag-12 to every live un-stopped
     /// rank (integrating workers abort mid-chunk at their next observer
     /// poll; parked workers take it as their release), then the normal
-    /// drain — stats are collected and pooled workers park consistently
-    /// for the next job.  Returns the error the session ends with.
+    /// drain — stats are collected and workers park consistently for
+    /// the next job.  Returns the error the session ends with.
     fn cancel_job<T: Transport>(
         &mut self,
         t: &mut T,
@@ -655,10 +642,10 @@ impl Session {
         FarmError::Cancelled { reason, unfinished }
     }
 
-    /// Collect tag-7 goodbye reports that were still in flight when the
-    /// death report won the race against them (a worker that took its
-    /// stop, sent statistics, and exited can be seen dead by the watch
-    /// before its last message is read).  Bounded by the drain timeout.
+    /// Collect tag-7 reports that were still in flight when the death
+    /// report won the race against them (a worker that took its
+    /// release, sent statistics, and exited can be seen dead by the
+    /// watch before its last message is read).  Bounded by the drain timeout.
     fn sweep_stats<T: Transport>(&mut self, t: &mut T, cfg: &MasterConfig) {
         let deadline = Instant::now() + cfg.drain_timeout;
         let mut buf = Vec::new();
@@ -703,61 +690,37 @@ impl Session {
     }
 }
 
-/// Run the master loop: broadcast the spec, hand out wavenumbers in
-/// `policy` order, collect the two-part results, stop every worker,
-/// gather their statistics.
+/// Run one job on resident workers: open it with per-rank tag-10
+/// sends, hand out wavenumbers in `policy` order (keeping a chunk for
+/// every live rank that has not asked for work yet), collect the
+/// two-part results, release every worker with tag 11, and gather
+/// their per-job statistics.  The workers stay up; ending their
+/// sessions (tag 6) is the pool's business, not the job's.
 ///
 /// `watch` is polled between probes and must report liveness changes
-/// (thread farms report workers whose loop returned; process farms
+/// (thread pools report workers whose session returned; process pools
 /// report children that exited, and may report a respawn after
 /// re-handshaking a replacement).  Under [`RecoveryPolicy::FailFast`] a
-/// dead rank that was never stopped aborts the session with
+/// dead rank that was never released aborts the job with
 /// [`FarmError::WorkerLost`] after draining the survivors; under
 /// [`RecoveryPolicy::Requeue`] its work is redistributed.
-pub fn master_loop<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-) -> Result<MasterLedger, FarmError> {
-    master_session(t, spec, policy, cfg, watch, Instant::now())
-}
-
-/// [`master_loop`] with an explicit span epoch: every span the master
-/// records is stamped relative to `epoch`, so a farm that hands the same
-/// epoch to its workers gets one aligned timeline across all tracks.
-pub fn master_session<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-    epoch: Instant,
-) -> Result<MasterLedger, FarmError> {
-    master_job_session(
-        t,
-        spec,
-        policy,
-        cfg,
-        watch,
-        epoch,
-        SessionKind::OneShot,
-        &JobControl::default(),
-    )
-}
-
-/// [`master_session`] generalized over the worker-lifetime relation.
 ///
 /// Every per-job structure — the work queue, output slots, recovery
 /// ledger, heartbeat clocks, idle accounting, span timeline — is built
-/// fresh here, which is what makes a pooled session *reset* without
-/// tearing anything down: the state lives on the stack of this call,
-/// not in the world.  Only the transport endpoints (and, worker-side,
-/// the warm physics caches) persist between calls.
+/// fresh here, so consecutive jobs never share state: only the
+/// transport endpoints (and, worker-side, the warm physics caches)
+/// persist between calls.  Spans are stamped relative to `epoch`, so a
+/// pool that hands the same epoch to its workers gets one aligned
+/// timeline across all tracks.
 ///
 /// `ctrl` is checked once per poll interval; a fired deadline or cancel
-/// flag cancels the job cooperatively (see [`JobControl`]).
+/// flag cancels the job cooperatively (see [`JobControl`]).  When
+/// `prefetch` names the next job's spec, every tag-11 release is
+/// followed by a tag-13 [`TAG_PREFETCH`] carrying it, so released
+/// workers build that job's physics tables while the job's tail chunks
+/// finish on their peers.  This is the ensemble scheduler's overlap
+/// mechanism; it never changes results (caches are keyed on the
+/// canonical cosmology hash).
 #[allow(clippy::too_many_arguments)]
 pub fn master_job_session<T: Transport>(
     t: &mut T,
@@ -766,29 +729,6 @@ pub fn master_job_session<T: Transport>(
     cfg: &MasterConfig,
     watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
     epoch: Instant,
-    kind: SessionKind,
-    ctrl: &JobControl<'_>,
-) -> Result<MasterLedger, FarmError> {
-    master_job_session_prefetch(t, spec, policy, cfg, watch, epoch, kind, ctrl, None)
-}
-
-/// [`master_job_session`] with an optional next-job prefetch hint: when
-/// `prefetch` is set and the session is [`SessionKind::Pooled`], every
-/// tag-11 release is followed by a tag-13 [`TAG_PREFETCH`] carrying the
-/// next job's spec, so released workers build that job's physics tables
-/// while the session's tail chunks finish on their peers.  This is the
-/// ensemble scheduler's overlap mechanism; it never changes results
-/// (caches are keyed on the canonical cosmology hash) and one-shot
-/// sessions ignore it.
-#[allow(clippy::too_many_arguments)]
-pub fn master_job_session_prefetch<T: Transport>(
-    t: &mut T,
-    spec: &RunSpec,
-    policy: SchedulePolicy,
-    cfg: &MasterConfig,
-    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
-    epoch: Instant,
-    kind: SessionKind,
     ctrl: &JobControl<'_>,
     prefetch: Option<&RunSpec>,
 ) -> Result<MasterLedger, FarmError> {
@@ -804,7 +744,6 @@ pub fn master_job_session_prefetch<T: Transport>(
         completion_log: Vec::with_capacity(nk),
         bytes_received: 0,
         stopped: HashSet::new(),
-        release_tag: kind.release_tag(),
         stats: vec![None; n_workers],
         n_workers,
         policy: cfg.recovery,
@@ -813,6 +752,7 @@ pub fn master_job_session_prefetch<T: Transport>(
         dead: HashSet::new(),
         last_seen: vec![Instant::now(); n_workers],
         parked: HashSet::new(),
+        asked: HashSet::new(),
         quarantined: HashSet::new(),
         recovery: RecoveryLog::default(),
         rec: SpanRecorder::new(epoch, 0, 0),
@@ -833,60 +773,50 @@ pub fn master_job_session_prefetch<T: Transport>(
     );
 
     let spec_wire = spec.encode();
-    match kind {
-        SessionKind::OneShot => {
-            // broadcast data to all node programs; a partial broadcast
-            // leaves the world inconsistent, so any failure here is
-            // fatal for the session
-            mybcastreal(t, &spec_wire, TAG_INIT).map_err(FarmError::Setup)?;
-        }
-        SessionKind::Pooled => {
-            // fold in casualties from earlier jobs first, so a rank
-            // that died on the pool is never offered this job; a rank
-            // respawned between jobs is a fresh worker that picks the
-            // job up from the tag-10 send like everyone else
-            for ev in watch() {
-                match ev {
-                    WorkerEvent::Dead(rank) => {
-                        if rank == 0 || rank > n_workers || s.dead.contains(&rank) {
-                            continue;
-                        }
-                        if s.policy.recovers() {
-                            s.mark_dead(t, rank, "dead before job start")?;
-                        } else {
-                            return Err(FarmError::WorkerLost {
-                                rank,
-                                unfinished: s.unfinished(),
-                            });
-                        }
-                    }
-                    WorkerEvent::Respawned(rank) => {
-                        if rank == 0 || rank > n_workers {
-                            continue;
-                        }
-                        s.dead.remove(&rank);
-                        s.recovery.respawns += 1;
-                    }
-                }
-            }
-            for rank in 1..=n_workers {
-                if s.dead.contains(&rank) {
+    // fold in casualties from earlier jobs first, so a rank that died on
+    // the pool is never offered this job; a rank respawned between jobs
+    // is a fresh worker that picks the job up from the tag-10 send like
+    // everyone else
+    for ev in watch() {
+        match ev {
+            WorkerEvent::Dead(rank) => {
+                if rank == 0 || rank > n_workers || s.dead.contains(&rank) {
                     continue;
                 }
-                if let Err(e) = mysendreal(t, &spec_wire, TAG_NEWJOB, rank) {
-                    if s.policy.recovers() {
-                        s.mark_dead(t, rank, "unreachable at job start")?;
-                    } else {
-                        return Err(FarmError::Setup(e));
-                    }
+                if s.policy.recovers() {
+                    s.mark_dead(t, rank, "dead before job start")?;
+                } else {
+                    return Err(FarmError::WorkerLost {
+                        rank,
+                        unfinished: s.unfinished(),
+                    });
                 }
             }
-            if s.dead.len() == s.n_workers {
-                return Err(FarmError::AllWorkersLost {
-                    unfinished: s.unfinished(),
-                });
+            WorkerEvent::Respawned(rank) => {
+                if rank == 0 || rank > n_workers {
+                    continue;
+                }
+                s.dead.remove(&rank);
+                s.recovery.respawns += 1;
             }
         }
+    }
+    for rank in 1..=n_workers {
+        if s.dead.contains(&rank) {
+            continue;
+        }
+        if let Err(e) = mysendreal(t, &spec_wire, TAG_NEWJOB, rank) {
+            if s.policy.recovers() {
+                s.mark_dead(t, rank, "unreachable at job start")?;
+            } else {
+                return Err(FarmError::Setup(e));
+            }
+        }
+    }
+    if s.dead.len() == s.n_workers {
+        return Err(FarmError::AllWorkersLost {
+            unfinished: s.unfinished(),
+        });
     }
 
     let mut header = Vec::new();
@@ -981,6 +911,7 @@ pub fn master_job_session_prefetch<T: Transport>(
             TAG_REQUEST => {
                 // the worker is ready for its first ik; no data
                 myrecvreal(t, &mut header, TAG_REQUEST, itid)?;
+                s.asked.insert(itid);
                 s.dispatch(t, itid)?;
             }
             TAG_HEARTBEAT => {
@@ -1139,11 +1070,11 @@ pub fn master_job_session_prefetch<T: Transport>(
     if cfg.recovery.recovers() {
         // collect goodbye statistics that raced a death report, then give
         // ranks we declared dead on heartbeat evidence (which may in fact
-        // be alive, just stalled) a best-effort stop so they can exit
+        // be alive, just stalled) a best-effort release so they can park
         s.sweep_stats(t, cfg);
         for rank in 1..=n_workers {
             if !s.stopped.contains(&rank) {
-                let _ = mysendreal(t, &[0.0], s.release_tag, rank);
+                let _ = mysendreal(t, &[0.0], TAG_JOBDONE, rank);
             }
         }
     }
@@ -1167,13 +1098,32 @@ pub fn master_job_session_prefetch<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::worker_loop;
+    use crate::protocol::TAG_STOP;
+    use crate::worker::worker_pool_session;
     use boltzmann::Preset;
     use msgpass::channel::ChannelWorld;
     use std::thread;
 
     fn no_watch() -> impl FnMut() -> Vec<WorkerEvent> {
         Vec::new
+    }
+
+    fn run_job<T: Transport>(
+        t: &mut T,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+        cfg: &MasterConfig,
+    ) -> Result<MasterLedger, FarmError> {
+        master_job_session(
+            t,
+            spec,
+            policy,
+            cfg,
+            &mut no_watch(),
+            Instant::now(),
+            &JobControl::default(),
+            None,
+        )
     }
 
     #[test]
@@ -1183,18 +1133,17 @@ mod tests {
         let mut eps = ChannelWorld::new(3);
         let workers: Vec<_> = eps
             .drain(1..)
-            .map(|mut ep| thread::spawn(move || worker_loop(&mut ep).unwrap()))
+            .map(|mut ep| {
+                thread::spawn(move || worker_pool_session(&mut ep, None, Instant::now()).unwrap())
+            })
             .collect();
         let mut master_ep = eps.pop().unwrap();
         let cfg = MasterConfig::default();
-        let ledger = master_loop(
-            &mut master_ep,
-            &spec,
-            SchedulePolicy::LargestFirst,
-            &cfg,
-            &mut no_watch(),
-        )
-        .unwrap();
+        let ledger = run_job(&mut master_ep, &spec, SchedulePolicy::LargestFirst, &cfg).unwrap();
+        // the job only released the workers; the session ends on tag 6
+        for rank in 1..=2 {
+            master_ep.send(rank, TAG_STOP, &[0.0]).unwrap();
+        }
 
         assert_eq!(ledger.completion_log.len(), 4);
         assert!(ledger.outputs.iter().all(|o| o.is_some()));
@@ -1208,14 +1157,14 @@ mod tests {
         // k = 0.03 → ik 2 must not complete last)
         assert!(ledger.completion_log.iter().any(|&(ik, _)| ik == 2));
         let local: Vec<_> = workers.into_iter().map(|h| h.join().unwrap()).collect();
-        let total: usize = local.iter().map(|s| s.modes).sum();
+        assert!(local.iter().all(|o| o.jobs == 1));
+        let total: usize = local.iter().map(|o| o.stats.modes).sum();
         assert_eq!(total, 4);
         // the wire-carried statistics must agree with the workers' own
         assert_eq!(ledger.worker_stats.len(), 2);
-        assert_eq!(
-            ledger.worker_stats.iter().map(|s| s.modes).sum::<usize>(),
-            4
-        );
+        for (wire, own) in ledger.worker_stats.iter().zip(&local) {
+            assert_eq!(*wire, own.stats);
+        }
         assert!(ledger.worker_stats.iter().all(|s| s.busy_seconds > 0.0));
         assert_eq!(
             ledger
@@ -1228,6 +1177,52 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_is_kept_for_every_worker_that_has_not_asked() {
+        // two hand-written workers; the modes are never integrated —
+        // each is reported failed and quarantined after one attempt
+        let spec = RunSpec::standard_cdm(vec![0.01, 0.02]);
+        let mut eps = ChannelWorld::new(3);
+        let mut w2 = eps.pop().unwrap();
+        let mut w1 = eps.pop().unwrap();
+        let mut master_ep = eps.pop().unwrap();
+        let cfg = MasterConfig {
+            poll: Duration::from_millis(5),
+            drain_timeout: Duration::from_millis(300),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 1,
+                respawn: false,
+            },
+            ..MasterConfig::default()
+        };
+        let master =
+            thread::spawn(move || run_job(&mut master_ep, &spec, SchedulePolicy::Fifo, &cfg));
+        let mut buf = Vec::new();
+        w1.recv(0, TAG_NEWJOB, &mut buf).unwrap();
+        w1.send(0, TAG_REQUEST, &[0.0]).unwrap();
+        w1.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+        assert_eq!(buf, [0.0]);
+        w1.send(0, TAG_FAIL, &[0.0, 0.0]).unwrap();
+        // rank 2 has not asked yet, so the last mode is kept for it
+        let early = w1.probe_timeout(Some(0), None, Duration::from_millis(100));
+        assert!(
+            matches!(early, Ok(None)),
+            "rank 1 took rank 2's mode: {early:?}"
+        );
+        w2.recv(0, TAG_NEWJOB, &mut buf).unwrap();
+        w2.send(0, TAG_REQUEST, &[0.0]).unwrap();
+        w2.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+        assert_eq!(buf, [1.0]);
+        w2.send(0, TAG_FAIL, &[1.0, 0.0]).unwrap();
+        for w in [&mut w1, &mut w2] {
+            w.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            w.send(0, TAG_STATS, &WorkerStats::default().to_wire())
+                .unwrap();
+        }
+        let ledger = master.join().unwrap().unwrap();
+        assert_eq!(ledger.recovery.failed_modes.len(), 2);
+    }
+
+    #[test]
     fn unexpected_tag_drains_and_errors() {
         let spec = RunSpec::standard_cdm(vec![0.01]);
         let mut eps = ChannelWorld::new(2);
@@ -1235,25 +1230,18 @@ mod tests {
         let mut master_ep = eps.pop().unwrap();
         let h = thread::spawn(move || {
             let mut buf = Vec::new();
-            // swallow the init broadcast, then send garbage
-            rogue.recv(0, TAG_INIT, &mut buf).unwrap();
+            // swallow the job open, then send garbage
+            rogue.recv(0, TAG_NEWJOB, &mut buf).unwrap();
             rogue.send(0, 99, &[1.0]).unwrap();
-            // the drain must still deliver our stop
-            rogue.recv(0, TAG_STOP, &mut buf).unwrap();
+            // the drain must still deliver our release
+            rogue.recv(0, TAG_JOBDONE, &mut buf).unwrap();
         });
         let cfg = MasterConfig {
             poll: Duration::from_millis(5),
             drain_timeout: Duration::from_millis(300),
             ..MasterConfig::default()
         };
-        let err = master_loop(
-            &mut master_ep,
-            &spec,
-            SchedulePolicy::Fifo,
-            &cfg,
-            &mut no_watch(),
-        )
-        .unwrap_err();
+        let err = run_job(&mut master_ep, &spec, SchedulePolicy::Fifo, &cfg).unwrap_err();
         match err {
             FarmError::Protocol { rank, detail } => {
                 assert_eq!(rank, 1);

@@ -1,17 +1,18 @@
-//! Persistent farm sessions: a worker pool that outlives any one run.
+//! Farm sessions: a worker pool that outlives any one job.
 //!
-//! [`Farm`](crate::Farm) assembles a world, runs one job, and tears
-//! everything down; every run pays the worker-side
-//! [`Background`](background::Background)/
-//! [`ThermoHistory`](recomb::ThermoHistory) construction again even
-//! when consecutive runs share a cosmology.  [`FarmPool`] splits that
-//! lifetime: the pool owns the world and its resident workers (threads
-//! running [`crate::worker::worker_pool_session`], with warm physics
-//! caches and integrator scratch), while a [`Session`] borrows the pool
-//! for exactly one k-grid job.  Per-job state — work queue, recovery
+//! The pool is the farm's one lifecycle.  [`FarmPool`] owns the world
+//! and its resident workers (threads running
+//! [`crate::worker::worker_pool_session`], with warm physics caches and
+//! integrator scratch), while a [`Session`] borrows the pool for
+//! exactly one k-grid job.  Per-job state — work queue, recovery
 //! ledger, heartbeat clocks, idle accounting, telemetry — lives inside
 //! [`crate::master::master_job_session`] and is rebuilt from scratch
-//! every job; only endpoints and caches persist.
+//! every job; only endpoints and caches persist.  The one-shot
+//! [`Farm::run`](crate::Farm::run) is a pool that runs one job and
+//! shuts down, so every run after the first on a pool skips the
+//! worker-side [`Background`](background::Background)/
+//! [`ThermoHistory`](recomb::ThermoHistory) construction when
+//! consecutive jobs share a cosmology.
 //!
 //! Self-healing persists across jobs too.  A worker that dies mid-job
 //! is respawned *into the pool*, not just the run: the dead thread is
@@ -23,11 +24,11 @@
 //! subprocess workers, the respawn listener, and the master socket
 //! alive between jobs.
 //!
-//! Determinism: a pooled job runs the same master loop, the same
-//! dispatch order, and bit-identical mode integrations as a fresh
-//! [`Farm::run`](crate::Farm::run) — warm caches are keyed on the
-//! canonical cosmology hash and rebuilt whenever it changes, and cache
-//! reuse never alters results, only skips table construction.  The
+//! Determinism: every job runs the same master loop, the same dispatch
+//! order, and bit-identical mode integrations whether it is a pool's
+//! first job or its hundredth — warm caches are keyed on the canonical
+//! cosmology hash and rebuilt whenever it changes, and cache reuse
+//! never alters results, only skips table construction.  The
 //! pool-vs-fresh bitwise tests in `tests/pool_sessions.rs` pin this.
 
 use std::path::Path;
@@ -37,6 +38,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use msgpass::fault::{FaultSpec, FaultyTransport};
 use msgpass::instrument::{CommSnapshot, EndpointStats, Instrumented};
 use msgpass::tcp::{PendingMaster, RespawnPort, TcpEndpoint};
 use msgpass::{Transport, World};
@@ -47,7 +49,7 @@ use crate::farm::{
     finish_report, spawn_tcp_worker, watch_tcp_children, worker_fault_arg, FarmReport, FaultPlan,
     TcpFarmOptions,
 };
-use crate::master::{master_job_session_prefetch, JobControl, MasterConfig, SessionKind};
+use crate::master::{master_job_session, JobControl, MasterConfig, MasterLedger};
 use crate::protocol::{RunSpec, TAG_STOP};
 use crate::recovery::{RecoveryPolicy, WorkerEvent};
 use crate::schedule::SchedulePolicy;
@@ -60,9 +62,17 @@ pub struct PoolOptions {
     /// also requires the recovery policy to be
     /// `RecoveryPolicy::Requeue { respawn: true, .. }`.
     pub respawn_limit: usize,
-    /// Worker-level fault to script into the initial workers (tests).
+    /// Fault to script into the pool (tests): worker-level plans go to
+    /// the initial workers, message-level plans become a
+    /// [`FaultyTransport`] rule on every endpoint.
     pub fault: Option<FaultPlan>,
 }
+
+/// A pool endpoint: instrumented, then wrapped in the fault seam.  The
+/// fault wrapper sits outside the instrumentation so a dropped message
+/// is never counted as sent (closed-world telemetry survives fault
+/// runs); with no message-level fault it is a passthrough.
+type PoolEndpoint<W> = FaultyTransport<Instrumented<<W as World>::Endpoint>>;
 
 /// One resident worker of a thread pool: its liveness flag, its thread
 /// (which returns the endpoint on clean exit so a replacement session
@@ -76,14 +86,11 @@ struct PoolWorker<W: World> {
     handled: bool,
 }
 
-type WorkerReturn<W> = (
-    Result<PoolWorkerOutcome, FarmError>,
-    Instrumented<<W as World>::Endpoint>,
-);
+type WorkerReturn<W> = (Result<PoolWorkerOutcome, FarmError>, PoolEndpoint<W>);
 type WorkerHandle<W> = JoinHandle<WorkerReturn<W>>;
 
 fn spawn_pool_worker<W: World>(
-    mut ep: Instrumented<W::Endpoint>,
+    mut ep: PoolEndpoint<W>,
     fault: Option<WorkerFault>,
     epoch: Instant,
 ) -> (Arc<AtomicBool>, WorkerHandle<W>) {
@@ -106,7 +113,9 @@ pub struct PoolShutdown {
     pub jobs: usize,
     /// Worker-side span timelines across all jobs (harvested at thread
     /// joins; per-job reports carry master spans only, because worker
-    /// threads are still running when a job's report is cut).
+    /// threads are still running when a job's report is cut — except
+    /// the one-job [`Farm::run`](crate::Farm::run), whose report is cut
+    /// after the joins).
     pub worker_spans: Vec<SpanEvent>,
 }
 
@@ -127,7 +136,7 @@ pub struct PoolShutdown {
 /// let _ = (rep1, pool.shutdown());
 /// ```
 pub struct FarmPool<W: World> {
-    master: Option<Instrumented<W::Endpoint>>,
+    master: Option<PoolEndpoint<W>>,
     master_stats: Arc<EndpointStats>,
     workers: Vec<PoolWorker<W>>,
     config: MasterConfig,
@@ -172,9 +181,16 @@ impl<W: World> FarmPool<W> {
             ))));
         }
         let epoch = Instant::now();
+        let fault_spec = opts
+            .fault
+            .map_or_else(FaultSpec::passthrough, |f| f.fault_spec());
+        let wrap = |ep| {
+            let (wrapped, stats) = Instrumented::new(ep);
+            (FaultyTransport::new(wrapped, fault_spec.clone()).0, stats)
+        };
         let mut eps = eps.into_iter();
         let (master, master_stats) = match eps.next() {
-            Some(ep) => Instrumented::new(ep),
+            Some(ep) => wrap(ep),
             None => {
                 return Err(FarmError::Setup(msgpass::CommError::Protocol(
                     "world produced no master endpoint".into(),
@@ -184,7 +200,7 @@ impl<W: World> FarmPool<W> {
         let workers: Vec<PoolWorker<W>> = eps
             .enumerate()
             .map(|(i, ep)| {
-                let (wrapped, stats) = Instrumented::new(ep);
+                let (wrapped, stats) = wrap(ep);
                 let fault = opts.fault.and_then(|f| f.worker_fault(i + 1));
                 let (alive, handle) = spawn_pool_worker::<W>(wrapped, fault, epoch);
                 PoolWorker {
@@ -195,19 +211,11 @@ impl<W: World> FarmPool<W> {
                 }
             })
             .collect();
-        let comm_prev = std::iter::once(master_stats.snapshot(0))
-            .chain(
-                workers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| w.stats.snapshot(i + 1)),
-            )
-            .collect();
         let respawn_allowed = matches!(
             config.recovery,
             RecoveryPolicy::Requeue { respawn: true, .. }
         );
-        Ok(Self {
+        let mut pool = Self {
             master: Some(master),
             master_stats,
             workers,
@@ -219,11 +227,57 @@ impl<W: World> FarmPool<W> {
             } else {
                 0
             },
-            comm_prev,
+            comm_prev: Vec::new(),
             spans: Vec::new(),
             jobs_run: 0,
             closed: false,
-        })
+        };
+        pool.comm_prev = pool.comm_snapshots();
+        Ok(pool)
+    }
+
+    /// Cumulative per-endpoint comm counters, master first, then the
+    /// workers in rank order.
+    fn comm_snapshots(&self) -> Vec<CommSnapshot> {
+        std::iter::once(self.master_stats.snapshot(0))
+            .chain(
+                self.workers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, w)| w.stats.snapshot(i + 1)),
+            )
+            .collect()
+    }
+
+    /// The comm table since the previous cut, which becomes the next
+    /// cut's baseline.
+    fn cut_comm(&mut self) -> Vec<CommSnapshot> {
+        let snaps = self.comm_snapshots();
+        let comm = snaps
+            .iter()
+            .zip(&self.comm_prev)
+            .map(|(now, prev)| now.delta(prev))
+            .collect();
+        self.comm_prev = snaps;
+        comm
+    }
+
+    /// Run exactly one job, shut the pool down, and cut the report —
+    /// the whole of [`Farm::run`](crate::Farm::run).  The comm table and
+    /// the worker spans are taken after the worker threads are joined,
+    /// so the report holds the shutdown's tag-6 stops and every
+    /// worker-side counter and span.  (`Instrumented::send` counts only
+    /// once the inner send returns, so a table cut before the joins
+    /// could miss a worker's last send.)
+    pub(crate) fn run_once(
+        mut self,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+    ) -> Result<FarmReport, FarmError> {
+        let outcome = self.run_ledger(spec, policy, &JobControl::default(), None);
+        self.close();
+        let comm = self.cut_comm();
+        finish_report(outcome?, comm, std::mem::take(&mut self.spans))
     }
 
     /// Workers in the pool (dead or alive — the rank count is fixed at
@@ -298,6 +352,25 @@ impl<W: World> FarmPool<W> {
         ctrl: &JobControl<'_>,
         prefetch: Option<&RunSpec>,
     ) -> Result<FarmReport, FarmError> {
+        let outcome = self.run_ledger(spec, policy, ctrl, prefetch);
+        // refresh the comm baseline even on error, so a failed job's
+        // traffic never leaks into the next job's table
+        let comm = self.cut_comm();
+        let ledger = outcome?;
+        self.jobs_run += 1;
+        finish_report(ledger, comm, Vec::new())
+    }
+
+    /// Drive the master through one job, with the pool's liveness watch
+    /// (which reaps dead worker threads and respawns them into the pool
+    /// while the budget lasts).
+    fn run_ledger(
+        &mut self,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+        ctrl: &JobControl<'_>,
+        prefetch: Option<&RunSpec>,
+    ) -> Result<MasterLedger, FarmError> {
         let Some(master) = self.master.as_mut() else {
             return Err(FarmError::Protocol {
                 rank: 0,
@@ -365,36 +438,9 @@ impl<W: World> FarmPool<W> {
             }
             events
         };
-        let outcome = master_job_session_prefetch(
-            master,
-            spec,
-            policy,
-            &config,
-            &mut watch,
-            epoch,
-            SessionKind::Pooled,
-            ctrl,
-            prefetch,
-        );
-        // refresh the comm baseline even on error, so a failed job's
-        // traffic never leaks into the next job's table
-        let snaps: Vec<CommSnapshot> = std::iter::once(self.master_stats.snapshot(0))
-            .chain(
-                self.workers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| w.stats.snapshot(i + 1)),
-            )
-            .collect();
-        let comm: Vec<CommSnapshot> = snaps
-            .iter()
-            .zip(self.comm_prev.iter())
-            .map(|(now, prev)| now.delta(prev))
-            .collect();
-        self.comm_prev = snaps;
-        let ledger = outcome?;
-        self.jobs_run += 1;
-        finish_report(ledger, comm, Vec::new())
+        master_job_session(
+            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
+        )
     }
 
     /// Stop every resident worker (tag 6), join their threads, and
@@ -474,13 +520,12 @@ impl<'p, W: World> Session<'p, W> {
 /// localhost TCP stay resident — and respawnable through the kept
 /// listening socket — across jobs.
 ///
-/// Workers are the same `--tcp-worker` subprocesses
-/// [`crate::run_tcp_processes`] spawns (they always run the persistent
-/// session), so a pool needs no new worker-side plumbing: jobs open
-/// with tag 10, close with tag 11, and the final shutdown is a tag-6
-/// stop.  A child that exits abnormally mid-job is relaunched and
-/// re-handshaked under its rank (budget permitting) exactly as in a
-/// one-shot run — but here the replacement keeps serving later jobs.
+/// Workers are `--tcp-worker` subprocesses running the same worker
+/// session as the thread pools: jobs open with tag 10, close with
+/// tag 11, and the final shutdown is a tag-6 stop.  A child that exits
+/// abnormally mid-job is relaunched and re-handshaked under its rank
+/// (budget permitting), and the replacement keeps serving later jobs.
+/// [`crate::run_tcp_processes`] is this pool running one job.
 pub struct TcpFarmPool {
     master: Option<Instrumented<TcpEndpoint>>,
     master_stats: Arc<EndpointStats>,
@@ -599,6 +644,46 @@ impl TcpFarmPool {
         ctrl: &JobControl<'_>,
         prefetch: Option<&RunSpec>,
     ) -> Result<FarmReport, FarmError> {
+        let outcome = self.run_ledger(spec, policy, ctrl, prefetch);
+        let comm = self.cut_comm();
+        let ledger = outcome?;
+        self.jobs_run += 1;
+        finish_report(ledger, comm, Vec::new())
+    }
+
+    /// Run exactly one job, shut the pool down, and cut the report —
+    /// the whole of [`crate::run_tcp_processes`].  The master's comm
+    /// table is cut after the shutdown, so it holds the tag-6 stops.
+    pub(crate) fn run_once(
+        mut self,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+    ) -> Result<FarmReport, FarmError> {
+        let outcome = self.run_ledger(spec, policy, &JobControl::default(), None);
+        self.close();
+        let comm = self.cut_comm();
+        finish_report(outcome?, comm, Vec::new())
+    }
+
+    /// The master endpoint's comm table since the previous cut, which
+    /// becomes the next cut's baseline (subprocess workers keep their
+    /// local counters to themselves).
+    fn cut_comm(&mut self) -> Vec<CommSnapshot> {
+        let snap = self.master_stats.snapshot(0);
+        let comm = snap.delta(&self.comm_prev);
+        self.comm_prev = snap;
+        vec![comm]
+    }
+
+    /// Drive the master through one job, with the child-process watch
+    /// (which relaunches crashed workers while the budget lasts).
+    fn run_ledger(
+        &mut self,
+        spec: &RunSpec,
+        policy: SchedulePolicy,
+        ctrl: &JobControl<'_>,
+        prefetch: Option<&RunSpec>,
+    ) -> Result<MasterLedger, FarmError> {
         let Some(master) = self.master.as_mut() else {
             return Err(FarmError::Protocol {
                 rank: 0,
@@ -614,23 +699,9 @@ impl TcpFarmPool {
         let mut watch = || -> Vec<WorkerEvent> {
             watch_tcp_children(children, handled, respawns_left, exe, addr, size, port)
         };
-        let outcome = master_job_session_prefetch(
-            master,
-            spec,
-            policy,
-            &config,
-            &mut watch,
-            epoch,
-            SessionKind::Pooled,
-            ctrl,
-            prefetch,
-        );
-        let snap = self.master_stats.snapshot(0);
-        let comm = snap.delta(&self.comm_prev);
-        self.comm_prev = snap;
-        let ledger = outcome?;
-        self.jobs_run += 1;
-        finish_report(ledger, vec![comm], Vec::new())
+        master_job_session(
+            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
+        )
     }
 
     /// Stop every resident worker and wait for the subprocesses.

@@ -13,15 +13,16 @@
 //!   reconstruct the full [`ode::StepStats`] on the master side, so
 //!   per-mode timing ledgers survive the wire even when workers are OS
 //!   subprocesses.
-//! * **Tag 7 (stats)** — a 9-real worker self-report (see
-//!   [`TAG_STATS`]); 4- and 8-real payloads from older workers still
-//!   decode, with the newer counters zero-filled.
+//! * **Tag 7 (stats)** — a 10-real per-job worker self-report (see
+//!   [`TAG_STATS`]); no other length decodes.
 
 use background::CosmoParams;
 use boltzmann::{Gauge, InitialConditions, ModeConfig, Preset, SpectrumMethod};
 use msgpass::Tag;
 
-/// Tag 1: first message from master to workers (run parameters).
+/// Tag 1: from master, the run parameters for a rank respawned mid-job
+/// (the paper's initial broadcast; jobs themselves open with
+/// [`TAG_NEWJOB`], so an undisturbed run sends no tag 1).
 pub const TAG_INIT: Tag = 1;
 /// Tag 2: from worker, asking for a wavenumber.
 pub const TAG_REQUEST: Tag = 2;
@@ -35,20 +36,17 @@ pub const TAG_ASSIGN: Tag = 3;
 pub const TAG_HEADER: Tag = 4;
 /// Tag 5: from worker, second set of data (`2·lmax + 8` reals).
 pub const TAG_DATA: Tag = 5;
-/// Tag 6: from master, telling the worker to stop.
+/// Tag 6: from master, telling the worker to exit (pool shutdown).  The
+/// worker exits without a reply; its per-job statistics already went
+/// out with each tag-11 release.
 pub const TAG_STOP: Tag = 6;
-/// Tag 7: from worker, after its release — its session statistics as
-/// 10 reals: `[modes, busy seconds, total seconds, bytes sent,
-/// steps accepted, steps rejected, rhs evals, bytes received,
-/// ctx rebuilds, prefetch builds]`.  In a one-shot farm the release is
-/// the tag-6 stop and the statistics cover the whole session; a pooled
-/// worker sends one such report per job on its tag-11 release,
-/// covering that job alone.
+/// Tag 7: from worker, after its tag-11 (or tag-12) release — that
+/// job's statistics as 10 reals: `[modes, busy seconds, total seconds,
+/// bytes sent, steps accepted, steps rejected, rhs evals, bytes
+/// received, ctx rebuilds, prefetch builds]`.
 ///
-/// Legacy 4-, 8-, and 9-real payloads (field prefixes) also decode,
-/// with the rest zero-filled; any other length, or any non-finite or
-/// negative value, is rejected by
-/// [`crate::worker::WorkerStats::from_wire`].  Not in the paper's
+/// Any other length, or any non-finite or negative value, is rejected
+/// by [`crate::worker::WorkerStats::from_wire`].  Not in the paper's
 /// table; carrying the counters over the wire keeps the report uniform
 /// whether workers are threads or OS processes.
 pub const TAG_STATS: Tag = 7;
@@ -66,18 +64,18 @@ pub const TAG_FAIL: Tag = 8;
 /// while data messages still flow.  Not in the paper's table — the
 /// 1995 codes had no liveness detection beyond socket close.
 pub const TAG_HEARTBEAT: Tag = 9;
-/// Tag 10: from master, the job broadcast of a *pooled* session — the
-/// same `19 + nk` payload as [`TAG_INIT`], sent to workers that are
-/// already resident from a previous job.  A persistent worker treats
-/// tags 1 and 10 identically (a respawned rank is re-initialised with
-/// tag 1 mid-job, so both must start a job); the distinct tag exists so
-/// traces and per-tag counters separate pool reuse from cold starts.
+/// Tag 10: from master, the job open — the same `19 + nk` payload as
+/// [`TAG_INIT`], sent per-rank to every live worker at the start of
+/// every job.  A worker treats tags 1 and 10 identically (a respawned
+/// rank is re-initialised with tag 1 mid-job, so both must start a
+/// job); the distinct tag exists so traces and per-tag counters
+/// separate respawns from job opens.
 pub const TAG_NEWJOB: Tag = 10;
-/// Tag 11: from master, releasing workers at the end of a pooled job
+/// Tag 11: from master, releasing workers at the end of a job
 /// *without* ending their session (1 real, ignored).  The worker
-/// answers with its per-job tag-7 stats — exactly as it would answer
-/// [`TAG_STOP`] — and then parks, keeping its background/thermo caches
-/// warm, until the next tag-10/1 job or a final tag-6 stop.
+/// answers with its per-job tag-7 stats and then parks, keeping its
+/// background/thermo caches warm, until the next tag-10/1 job or a
+/// final tag-6 stop.
 pub const TAG_JOBDONE: Tag = 11;
 /// Tag 12: from master, cooperative job cancellation (1 real, ignored).
 /// Workers poll for it inside the heartbeat observer (every
@@ -86,7 +84,7 @@ pub const TAG_JOBDONE: Tag = 11;
 /// its ranks mid-chunk instead of finishing dead work.  A worker that
 /// sees it abandons the rest of its chunk, answers with its per-job
 /// tag-7 stats — exactly as it would answer [`TAG_JOBDONE`] — and then
-/// parks (pooled) or exits (one-shot).  Results already in flight when
+/// parks.  Results already in flight when
 /// the cancel lands are consumed blindly by the master's drain.
 pub const TAG_CANCEL: Tag = 12;
 /// Tag 13: from master, a context prefetch hint for a *parked* pooled
@@ -98,8 +96,7 @@ pub const TAG_CANCEL: Tag = 12;
 /// `ctx_rebuilds` is 0.  This is how an ensemble sweep overlaps shard
 /// `i+1`'s per-cosmology table construction with shard `i`'s tail
 /// chunks: the master appends a prefetch of the next shard to each
-/// tag-11 release.  Workers that never park (one-shot sessions) never
-/// see it; a worker may safely ignore it (it is a hint, not a job), and
+/// tag-11 release.  A worker may safely ignore it (it is a hint, not a job), and
 /// prefetching never changes results — caches are keyed on the
 /// canonical cosmology hash and rebuilt tables are bit-identical
 /// wherever they are built.

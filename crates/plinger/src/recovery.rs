@@ -30,8 +30,10 @@ pub enum RecoveryPolicy {
     Requeue {
         /// Dispatch budget per mode (≥ 1; the first dispatch counts).
         max_attempts: usize,
-        /// Allow process-level respawn where the deployment supports it
-        /// (`run_tcp_processes`); ignored by thread-backed farms.
+        /// Allow respawn where the deployment has a budget for it (a
+        /// `TcpFarmPool`, or a `FarmPool` with a nonzero
+        /// `PoolOptions::respawn_limit`); a one-job thread `Farm` has
+        /// none.
         respawn: bool,
     },
 }
@@ -62,13 +64,13 @@ impl RecoveryPolicy {
 }
 
 /// Liveness/membership change reported by the deployment layer's watch
-/// callback into `master_session`.
+/// callback into `master_job_session`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerEvent {
     /// The rank's thread exited or its process died.
     Dead(Rank),
-    /// A replacement process was re-handshaked under the rank
-    /// (TCP deployment only); the master must re-send the tag-1 spec.
+    /// A replacement worker (process or pool thread) took over the
+    /// rank; the master must re-send the job's spec as tag 1.
     Respawned(Rank),
 }
 

@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use background::Background;
-use boltzmann::{evolve_mode, evolve_mode_observed, evolve_mode_scratch, ModeOutput};
+use boltzmann::evolve_mode_scratch;
 use msgpass::wrappers::*;
 use msgpass::Transport;
 use ode::Integrator;
@@ -49,85 +49,16 @@ pub enum WorkerFault {
     },
 }
 
-/// Per-worker state built from the tag-1 broadcast: the background
-/// expansion and thermal history every mode integration shares.
-pub struct WorkerContext {
-    /// Decoded run description.
-    pub spec: RunSpec,
-    /// Background tables (built on this "node").
-    pub bg: Background,
-    /// Thermal history tables.
-    pub thermo: ThermoHistory,
-}
-
-impl WorkerContext {
-    /// Rebuild the physics tables from a broadcast payload — the work a
-    /// PLINGER worker did once per run on its own node.  A malformed
-    /// payload is reported, not panicked on.
-    pub fn from_broadcast(wire: &[f64]) -> Result<Self, FarmError> {
-        let spec = RunSpec::decode(wire)?;
-        let bg = Background::new(spec.cosmo.clone());
-        let thermo = ThermoHistory::new(&bg);
-        Ok(Self { spec, bg, thermo })
-    }
-
-    /// Integrate one wavenumber by index.
-    pub fn run_mode(&self, ik: usize) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode(&self.bg, &self.thermo, k, &self.spec.mode_config())
-    }
-
-    /// [`Self::run_mode`] with a per-accepted-step callback (the
-    /// heartbeat + cancellation hook).  The observer cannot perturb the
-    /// numerics; outputs are bit-identical to [`Self::run_mode`].  A
-    /// `false` return aborts the mode with `OdeError::Aborted`.
-    pub fn run_mode_observed(
-        &self,
-        ik: usize,
-        observer: Option<&mut dyn FnMut() -> bool>,
-    ) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode_observed(
-            &self.bg,
-            &self.thermo,
-            k,
-            &self.spec.mode_config(),
-            observer,
-        )
-    }
-
-    /// [`Self::run_mode_observed`] reusing a caller-held integrator as
-    /// scratch space (bit-identical; the session loop passes one
-    /// integrator across all its assignments so stage buffers are
-    /// allocated once per worker, not once per mode).
-    pub fn run_mode_scratch(
-        &self,
-        ik: usize,
-        observer: Option<&mut dyn FnMut() -> bool>,
-        integ: &mut Integrator,
-    ) -> Result<ModeOutput, boltzmann::EvolveError> {
-        let k = self.spec.ks[ik];
-        evolve_mode_scratch(
-            &self.bg,
-            &self.thermo,
-            k,
-            &self.spec.mode_config(),
-            observer,
-            integ,
-        )
-    }
-}
-
-/// Statistics a worker reports after its stop message, shipped to the
-/// master as the tag-7 payload (10 reals; see the `protocol` module
-/// docs for the wire layout).
+/// Statistics a worker reports for one job when the master releases
+/// it, shipped as the tag-7 payload (10 reals; see the `protocol`
+/// module docs for the wire layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WorkerStats {
     /// Modes completed.
     pub modes: usize,
     /// Seconds spent inside mode integrations (busy time).
     pub busy_seconds: f64,
-    /// Total seconds between receiving the broadcast and stopping.
+    /// Total seconds between the job opening and its release.
     pub total_seconds: f64,
     /// Bytes sent back to the master (header + data payloads).
     pub bytes_sent: usize,
@@ -137,11 +68,11 @@ pub struct WorkerStats {
     pub steps_rejected: usize,
     /// Right-hand-side evaluations across all modes.
     pub rhs_evals: usize,
-    /// Bytes received from the master (broadcast + assignments).
+    /// Bytes received from the master (job open + assignments).
     pub bytes_received: usize,
-    /// Background/thermo cache rebuilds this session (0 or 1 per job:
-    /// 1 when the broadcast's cosmology hash differed from the cached
-    /// one and the physics tables were rebuilt, 0 on a warm-cache job).
+    /// Background/thermo cache rebuilds this job (1 when the job's
+    /// cosmology hash differed from the cached one and the physics
+    /// tables were rebuilt, 0 on a warm-cache job).
     pub ctx_rebuilds: usize,
     /// Context builds that happened *off* the job's critical path: the
     /// worker rebuilt its tables while parked, answering a tag-13
@@ -170,34 +101,26 @@ impl WorkerStats {
         ]
     }
 
-    /// Decode a tag-7 payload.
-    ///
-    /// Accepts the current 10-real layout plus the three earlier shapes
-    /// — 9 reals (pre-prefetch), 8 reals (pre-pool, no rebuild counter)
-    /// and 4 reals (the 1995 field set) — with missing trailing
-    /// counters read as zero.  Returns `None` for any other length and
-    /// for payloads containing NaN, non-finite, or negative values — a
-    /// garbled stats message must not silently become a
-    /// plausible-looking report.
+    /// Decode a tag-7 payload: exactly the 10 reals [`Self::to_wire`]
+    /// sends.  Returns `None` for any other length and for payloads
+    /// containing NaN, non-finite, or negative values — a garbled stats
+    /// message must not silently become a plausible-looking report.
     pub fn from_wire(v: &[f64]) -> Option<Self> {
-        if v.len() != 4 && v.len() != 8 && v.len() != 9 && v.len() != 10 {
-            return None;
-        }
+        let v: &[f64; 10] = v.try_into().ok()?;
         if v.iter().any(|x| !x.is_finite() || *x < 0.0) {
             return None;
         }
-        let at = |i: usize| v.get(i).copied().unwrap_or(0.0);
         Some(Self {
-            modes: at(0) as usize,
-            busy_seconds: at(1),
-            total_seconds: at(2),
-            bytes_sent: at(3) as usize,
-            steps_accepted: at(4) as usize,
-            steps_rejected: at(5) as usize,
-            rhs_evals: at(6) as usize,
-            bytes_received: at(7) as usize,
-            ctx_rebuilds: at(8) as usize,
-            prefetch_builds: at(9) as usize,
+            modes: v[0] as usize,
+            busy_seconds: v[1],
+            total_seconds: v[2],
+            bytes_sent: v[3] as usize,
+            steps_accepted: v[4] as usize,
+            steps_rejected: v[5] as usize,
+            rhs_evals: v[6] as usize,
+            bytes_received: v[7] as usize,
+            ctx_rebuilds: v[8] as usize,
+            prefetch_builds: v[9] as usize,
         })
     }
 
@@ -217,136 +140,9 @@ impl WorkerStats {
     }
 }
 
-/// What one worker accumulated over a session: the wire-shipped
-/// statistics plus its local span timeline (mode and wait intervals,
-/// stamped against the session epoch).
-#[derive(Debug, Default)]
-pub struct WorkerOutcome {
-    /// The statistics also shipped to the master as tag 7.
-    pub stats: WorkerStats,
-    /// Local wall-clock spans (`mode` and `wait` events on this rank's
-    /// track).  Empty when telemetry is disabled.
-    pub spans: Vec<SpanEvent>,
-}
-
-/// Run the worker loop until the master sends tag 6.
-///
-/// Mirrors Appendix A line by line — receive the initial data, ask for a
-/// wavenumber, keep integrating until told to stop — with three
-/// session-layer refinements over the paper's listing:
-///
-/// * the first wait accepts *any* tag from the master, so a stop sent
-///   before (or instead of) the init broadcast still unblocks the
-///   worker — the master's drain path relies on this;
-/// * a failed mode integration is reported with tag 8 (ik, k) instead of
-///   killing the worker, after which the worker parks until stopped;
-/// * after the stop, the worker ships its statistics as tag 7 so the
-///   master's report is transport-independent.
-pub fn worker_loop<T: Transport>(t: &mut T) -> Result<WorkerStats, FarmError> {
-    worker_session(t, None, Instant::now()).map(|o| o.stats)
-}
-
-/// [`worker_loop`] with an optional mode budget: after completing
-/// `max_modes` assignments the worker returns silently on its next
-/// assignment, exactly as if its thread or node had died mid-run.  This
-/// is the fault-injection hook behind `FaultPlan::DropWorker`; real
-/// deployments pass `None` via [`worker_loop`].
-pub fn worker_loop_limited<T: Transport>(
-    t: &mut T,
-    max_modes: Option<usize>,
-) -> Result<WorkerStats, FarmError> {
-    let fault = max_modes.map(|after_modes| WorkerFault::Vanish { after_modes });
-    worker_session(t, fault, Instant::now()).map(|o| o.stats)
-}
-
-/// The full worker session: [`worker_loop_limited`] plus telemetry.
-///
-/// `epoch` anchors this worker's span timestamps; the farm passes one
-/// epoch to every rank so the per-rank tracks align in a trace viewer.
-/// Two span kinds are recorded on the worker's track: `mode` (one per
-/// integration, with `ik` and `k` arguments) and `wait` (the interval
-/// spent blocked on the master between finishing one result and
-/// receiving the next assignment).
-///
-/// During each integration the worker emits tag-9 heartbeats between
-/// DVERK step batches, at most one per `HEARTBEAT_MIN_INTERVAL`
-/// (100 ms).
-/// Heartbeat sends are best-effort (a send error is swallowed — the
-/// master will notice the silence) and excluded from
-/// [`WorkerStats::bytes_sent`], which accounts result traffic only.
-pub fn worker_session<T: Transport>(
-    t: &mut T,
-    fault: Option<WorkerFault>,
-    epoch: Instant,
-) -> Result<WorkerOutcome, FarmError> {
-    let (mytid, mastid) = initpass(t);
-    let mut buf = Vec::new();
-    let mut stats = WorkerStats::default();
-    let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
-
-    // First wait: any tag from the master.  Normally this is the tag-1
-    // broadcast; a drain-and-stop can arrive first instead.
-    let first = mychecktid(t, mastid)?;
-    if first == TAG_STOP {
-        myrecvreal(t, &mut buf, TAG_STOP, mastid)?;
-        mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
-        return Ok(WorkerOutcome {
-            stats,
-            spans: rec.into_events(),
-        });
-    }
-    if first != TAG_INIT {
-        return Err(FarmError::Protocol {
-            rank: t.rank(),
-            detail: format!("worker expected init or stop, got tag {first}"),
-        });
-    }
-    let n = myrecvreal(t, &mut buf, TAG_INIT, mastid)?;
-    stats.bytes_received += n * 8;
-    let t_start = Instant::now();
-    let ctx = WorkerContext::from_broadcast(&buf)?;
-    stats.ctx_rebuilds = 1;
-
-    // ask for a wavenumber from master
-    mysendreal(t, &[0.0], TAG_REQUEST, mastid)?;
-
-    let mut hb = Heartbeat::new();
-    // one integrator for the whole session: scratch buffers warm up on
-    // the first mode and are reused (bit-identically) for every mode after
-    let mut integ = Integrator::new();
-    let mut modes_done = 0usize;
-    let released = serve_assignments(
-        t,
-        mastid,
-        &ctx.spec,
-        &ctx.bg,
-        &ctx.thermo,
-        fault,
-        &mut modes_done,
-        &mut stats,
-        &mut integ,
-        &mut hb,
-        &mut rec,
-        &mut buf,
-    )?;
-    if released.is_none() {
-        // scripted vanish/stall: disappear without the goodbye
-        return Ok(WorkerOutcome {
-            stats,
-            spans: rec.into_events(),
-        });
-    }
-    stats.total_seconds = t_start.elapsed().as_secs_f64();
-    mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
-    Ok(WorkerOutcome {
-        stats,
-        spans: rec.into_events(),
-    })
-}
-
-/// Heartbeat emission state, carried across assignments (and, for a
-/// pooled worker, across jobs — the ~100 ms spacing is a per-rank
-/// property, not a per-job one).
+/// Heartbeat emission state, carried across assignments and across
+/// jobs — the ~100 ms spacing is a per-rank property, not a per-job
+/// one.
 struct Heartbeat {
     last: Instant,
     seq: f64,
@@ -361,16 +157,17 @@ impl Heartbeat {
     }
 }
 
-/// Serve tag-3 assignments until any other tag arrives, integrating
-/// each mode and answering with a tag-4/5 pair or a tag-8 failure.
-/// The terminating message's payload is consumed (and counted into
-/// `stats.bytes_received`) and its tag returned, so the caller decides
-/// what stop/job-done/new-job means for its lifetime.
+/// Serve tag-3 assignments until the job is released (any tag other
+/// than 3 or 6), integrating each mode and answering with a tag-4/5
+/// pair or a tag-8 failure.  The releasing message's payload is
+/// consumed (and counted into `stats.bytes_received`).
 ///
-/// Returns `Ok(None)` when a scripted [`WorkerFault`] says to vanish —
-/// the caller must then return without a goodbye.  `modes_done` counts
-/// completed modes across the whole worker lifetime (fault triggers key
-/// on it), while `stats` is the caller's per-session or per-job ledger.
+/// Returns `Ok(false)` when the session ends here: a scripted
+/// [`WorkerFault`] says to vanish, or a tag-6 stop arrived mid-job (a
+/// pool shutting down after a job that ended without releasing this
+/// rank).  The caller must then return without a goodbye.
+/// `modes_done` counts completed modes across the whole worker lifetime
+/// (fault triggers key on it), while `stats` is the per-job ledger.
 #[allow(clippy::too_many_arguments)]
 fn serve_assignments<T: Transport>(
     t: &mut T,
@@ -385,7 +182,7 @@ fn serve_assignments<T: Transport>(
     hb: &mut Heartbeat,
     rec: &mut SpanRecorder,
     buf: &mut Vec<f64>,
-) -> Result<Option<msgpass::Tag>, FarmError> {
+) -> Result<bool, FarmError> {
     let cfg = spec.mode_config();
     // the same request identity the master stamps on its spans — both
     // ends derive it from the spec wire bits, so no extra protocol
@@ -404,7 +201,7 @@ fn serve_assignments<T: Transport>(
             &[("job", job.clone())],
         );
         if tag != TAG_ASSIGN {
-            return Ok(Some(tag));
+            return Ok(tag != TAG_STOP);
         }
         // a tag-3 assignment carries one or more mode indices (a
         // chunk); work through them in assignment order, answering
@@ -424,13 +221,13 @@ fn serve_assignments<T: Transport>(
             match fault {
                 Some(WorkerFault::Vanish { after_modes }) if *modes_done >= after_modes => {
                     // fault injection: vanish without a goodbye
-                    return Ok(None);
+                    return Ok(false);
                 }
                 Some(WorkerFault::Stall { after_modes, stall }) if *modes_done >= after_modes => {
                     // fault injection: hang silently, then vanish — the
                     // master's heartbeat timeout must catch this
                     std::thread::sleep(stall);
-                    return Ok(None);
+                    return Ok(false);
                 }
                 Some(WorkerFault::FailMode { ik: bad }) if bad == ik => {
                     // fault injection: report the mode as failed
@@ -473,7 +270,7 @@ fn serve_assignments<T: Transport>(
             if cancel_seen {
                 // consume the cancel frame, abandon the remaining chunk,
                 // and release like any other terminating tag — the caller
-                // sends its stats and parks (pooled) or exits (one-shot)
+                // sends its stats and parks
                 let n = myrecvreal(t, buf, TAG_CANCEL, mastid)?;
                 stats.bytes_received += n * 8;
                 rec.record(
@@ -488,7 +285,7 @@ fn serve_assignments<T: Transport>(
                     ],
                 );
                 stats.busy_seconds += t_mode.elapsed().as_secs_f64();
-                return Ok(Some(TAG_CANCEL));
+                return Ok(true);
             }
             match result {
                 Ok(out) => {
@@ -558,29 +355,41 @@ pub struct PoolWorkerOutcome {
     pub spans: Vec<SpanEvent>,
 }
 
-/// The persistent worker session of a [`crate::FarmPool`]: serve jobs
-/// until the master sends a final tag-6 stop.
+/// The worker session (`kidsub` of Appendix A): serve jobs until the
+/// master sends a final tag-6 stop.
 ///
-/// Where [`worker_session`] lives exactly one run, this loop parks
-/// between jobs holding its [`Background`]/[`ThermoHistory`] tables,
-/// its integrator scratch, and its heartbeat clock, and:
+/// Every farm runs this session — a one-job [`crate::Farm`] as much as
+/// a long-lived [`crate::FarmPool`].  It parks between jobs holding its
+/// [`Background`]/[`ThermoHistory`] tables, its integrator scratch, and
+/// its heartbeat clock, and:
 ///
 /// * treats tag 10 (`NewJob`) and tag 1 (`Init`) identically as a job
-///   start — a respawned rank is re-initialised with tag 1 mid-job, and
-///   a one-shot master over this session speaks tag 1 throughout;
+///   start — a rank respawned mid-job is re-initialised with tag 1;
 /// * rebuilds the physics tables **only when the job's canonical
 ///   cosmology hash differs** from the cached one, recording a
 ///   `build_ctx` span and setting [`WorkerStats::ctx_rebuilds`] for the
 ///   job, so cache reuse is visible in the run report;
-/// * answers the per-job release (tag 11, or tag 6 under a one-shot
-///   master) with that job's own tag-7 stats — fresh counters every
-///   job, so idle/imbalance accounting never bleeds across sessions;
+/// * reports a failed mode integration with tag 8 (ik, k) instead of
+///   dying, and keeps serving assignments;
+/// * answers the per-job release (tag 11, or a tag-12 cancel) with that
+///   job's own tag-7 stats — fresh counters every job, so idle/imbalance
+///   accounting never bleeds across jobs;
 /// * consumes and ignores stale traffic between jobs (e.g. an
 ///   assignment addressed to this rank's previous incarnation that was
 ///   already requeued elsewhere);
-/// * on an idle tag-6 stop, reports its stats (zeroed if it never saw a
-///   job, summed over jobs otherwise) and exits, mirroring the one-shot
-///   early-stop handshake.
+/// * on a tag-6 stop, exits without a reply: the per-job stats already
+///   went out with each release.
+///
+/// `epoch` anchors this worker's span timestamps; the farm passes one
+/// epoch to every rank so the per-rank tracks align in a trace viewer.
+/// The worker records `mode` spans (one per integration, with `ik` and
+/// `k` arguments), `wait` spans (blocked on the master between one
+/// result and the next assignment), and `build_ctx`/`prefetch_ctx`
+/// spans (physics-table builds).  During each integration it emits
+/// tag-9 heartbeats between DVERK step batches, at most one per
+/// `HEARTBEAT_MIN_INTERVAL` (100 ms); heartbeat sends are best-effort
+/// and excluded from [`WorkerStats::bytes_sent`], which accounts result
+/// traffic only.
 pub fn worker_pool_session<T: Transport>(
     t: &mut T,
     fault: Option<WorkerFault>,
@@ -603,9 +412,6 @@ pub fn worker_pool_session<T: Transport>(
         if tag != TAG_INIT && tag != TAG_NEWJOB {
             let n = myrecvreal(t, &mut buf, tag, mastid)?;
             if tag == TAG_STOP {
-                // session over; report lifetime totals like the
-                // one-shot early-stop path does
-                mysendreal(t, &out.stats.to_wire(), TAG_STATS, mastid)?;
                 out.spans = rec.into_events();
                 return Ok(out);
             }
@@ -641,7 +447,7 @@ pub fn worker_pool_session<T: Transport>(
             continue;
         }
 
-        // job start: tag 1 (init / respawn re-init) or tag 10 (pooled)
+        // job start: tag 10 (job open) or tag 1 (respawn re-init)
         let n = myrecvreal(t, &mut buf, tag, mastid)?;
         let mut stats = WorkerStats {
             bytes_received: n * 8,
@@ -690,24 +496,17 @@ pub fn worker_pool_session<T: Transport>(
             &mut rec,
             &mut buf,
         )?;
-        let Some(release_tag) = released else {
-            // scripted vanish/stall: disappear without the goodbye
+        if !released {
+            // scripted vanish/stall, or a stop mid-job: end the session
+            // without the goodbye
             out.stats.absorb(&stats);
             out.spans = rec.into_events();
             return Ok(out);
-        };
+        }
         stats.total_seconds = t_start.elapsed().as_secs_f64();
         mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;
         out.jobs += 1;
         out.stats.absorb(&stats);
-        if release_tag == TAG_STOP {
-            // a one-shot master ends its only job with the session stop
-            out.spans = rec.into_events();
-            return Ok(out);
-        }
-        // tag 11 (or a back-to-back job start already consumed? no —
-        // serve_assignments returns the tag unhandled only after
-        // consuming its payload, and job starts are re-entered above):
         // park warm and wait for the next job
     }
 }
@@ -718,23 +517,31 @@ mod tests {
     use boltzmann::Preset;
 
     #[test]
-    fn context_from_broadcast_builds_physics() {
-        let mut spec = RunSpec::standard_cdm(vec![0.01]);
-        spec.preset = Preset::Draft;
-        let ctx = WorkerContext::from_broadcast(&spec.encode()).unwrap();
-        assert_eq!(ctx.spec.ks.len(), 1);
-        assert!(ctx.bg.tau0() > 10_000.0);
-        let out = ctx.run_mode(0).unwrap();
-        assert!(out.delta_c.is_finite());
-        assert_eq!(out.k, 0.01);
-    }
-
-    #[test]
-    fn context_rejects_malformed_broadcast() {
-        match WorkerContext::from_broadcast(&[1.0, 2.0]) {
-            Err(FarmError::SpecDecode(_)) => {}
-            Err(other) => panic!("expected SpecDecode, got {other}"),
-            Ok(_) => panic!("malformed broadcast must not decode"),
+    fn stop_ends_the_session_without_a_reply() {
+        use msgpass::channel::ChannelWorld;
+        // idle, or where a job's release should be (a master that
+        // abandoned the job): either way tag 6 ends the session, and no
+        // tag-7 goodbye follows it
+        for mid_job in [false, true] {
+            let mut eps = ChannelWorld::new(2);
+            let mut wep = eps.pop().unwrap();
+            let mut master = eps.pop().unwrap();
+            let h = std::thread::spawn(move || worker_pool_session(&mut wep, None, Instant::now()));
+            let mut buf = Vec::new();
+            if mid_job {
+                let mut spec = RunSpec::standard_cdm(vec![0.01]);
+                spec.preset = Preset::Draft;
+                master.send(1, TAG_NEWJOB, &spec.encode()).unwrap();
+                master.recv(1, TAG_REQUEST, &mut buf).unwrap();
+            }
+            master.send(1, TAG_STOP, &[0.0]).unwrap();
+            let out = h.join().unwrap().unwrap();
+            assert_eq!(out.jobs, 0, "mid_job={mid_job}");
+            let after = master.probe_timeout(None, None, Duration::from_millis(50));
+            assert!(
+                !matches!(after, Ok(Some(_))),
+                "mid_job={mid_job}: reply after the stop: {after:?}"
+            );
         }
     }
 
@@ -757,50 +564,41 @@ mod tests {
     }
 
     #[test]
-    fn stats_legacy_nine_real_payload_decodes() {
-        // pre-prefetch workers ship 9 reals; the prefetch counter
-        // zero-fills
-        let got = WorkerStats::from_wire(&[3.0, 1.5, 2.0, 4096.0, 900.0, 12.0, 7300.0, 512.0, 1.0])
-            .unwrap();
-        assert_eq!(got.ctx_rebuilds, 1);
-        assert_eq!(got.prefetch_builds, 0);
-    }
-
-    #[test]
-    fn stats_legacy_four_real_payload_decodes() {
-        let got = WorkerStats::from_wire(&[3.0, 1.5, 2.0, 4096.0]).unwrap();
-        assert_eq!(got.modes, 3);
-        assert_eq!(got.bytes_sent, 4096);
-        assert_eq!(got.steps_accepted, 0);
-        assert_eq!(got.bytes_received, 0);
-    }
-
-    #[test]
     fn stats_rejects_garbage_payloads() {
         // NaN, infinities, and negatives must not decode
+        let with = |i: usize, x: f64| {
+            let mut v = [1.0; 10];
+            v[i] = x;
+            v
+        };
         assert_eq!(
-            WorkerStats::from_wire(&[f64::NAN, 1.0, 2.0, 3.0]),
+            WorkerStats::from_wire(&with(0, f64::NAN)),
             None,
             "NaN modes"
         );
         assert_eq!(
-            WorkerStats::from_wire(&[1.0, f64::INFINITY, 2.0, 3.0]),
+            WorkerStats::from_wire(&with(1, f64::INFINITY)),
             None,
             "infinite busy"
         );
         assert_eq!(
-            WorkerStats::from_wire(&[1.0, 1.0, -2.0, 3.0]),
+            WorkerStats::from_wire(&with(2, -2.0)),
             None,
             "negative total"
         );
         assert_eq!(
-            WorkerStats::from_wire(&[1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, f64::NEG_INFINITY]),
+            WorkerStats::from_wire(&with(7, f64::NEG_INFINITY)),
             None,
             "non-finite bytes_received"
         );
-        // wrong geometry
-        assert_eq!(WorkerStats::from_wire(&[1.0; 5]), None);
-        assert_eq!(WorkerStats::from_wire(&[1.0; 11]), None);
-        assert_eq!(WorkerStats::from_wire(&[]), None);
+        assert_eq!(
+            WorkerStats::from_wire(&with(9, f64::NAN)),
+            None,
+            "NaN prefetch_builds"
+        );
+        // wrong geometry, including the retired 4-, 8- and 9-real shapes
+        for n in [0, 4, 5, 8, 9, 11] {
+            assert_eq!(WorkerStats::from_wire(&vec![1.0; n]), None, "{n} reals");
+        }
     }
 }

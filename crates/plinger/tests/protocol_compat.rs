@@ -1,19 +1,17 @@
-//! Wire-format compatibility of the master session.
+//! Wire-format strictness of the master session.
 //!
-//! The tag-7 statistics payload grew from 4 reals to 8 when the
-//! integrator counters were added; the master must keep decoding the
-//! old layout from live traffic.  Conversely, a tag-7 payload of any
-//! other shape must surface as a typed protocol error, not a
-//! plausible-looking report.
+//! The tag-7 statistics payload is exactly the 10 reals a worker
+//! sends; a tag-7 payload of any other shape must surface as a typed
+//! protocol error, not a plausible-looking report.
 
 use msgpass::channel::{ChannelEndpoint, ChannelWorld};
 use msgpass::Transport;
 use plinger::{
-    master_loop, FarmError, MasterConfig, RunSpec, SchedulePolicy, WorkerEvent, TAG_INIT,
-    TAG_REQUEST, TAG_STATS, TAG_STOP,
+    master_job_session, FarmError, JobControl, MasterConfig, RunSpec, SchedulePolicy, WorkerEvent,
+    TAG_JOBDONE, TAG_NEWJOB, TAG_REQUEST, TAG_STATS,
 };
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fast_cfg() -> MasterConfig {
     MasterConfig {
@@ -31,61 +29,29 @@ fn split_pair() -> (ChannelEndpoint, ChannelEndpoint) {
 }
 
 #[test]
-fn legacy_four_real_stats_accepted_end_to_end() {
-    // an empty k-grid reduces the protocol to its bookkeeping frame:
-    // init → request → stop → stats, with a pre-extension goodbye
-    let spec = RunSpec::standard_cdm(Vec::new());
-    let (mut master_ep, mut wep) = split_pair();
-    let h = thread::spawn(move || {
-        let mut buf = Vec::new();
-        wep.recv(0, TAG_INIT, &mut buf).unwrap();
-        wep.send(0, TAG_REQUEST, &[0.0]).unwrap();
-        wep.recv(0, TAG_STOP, &mut buf).unwrap();
-        // the 1995-shaped goodbye: modes, busy, total, bytes — no
-        // integrator counters
-        wep.send(0, TAG_STATS, &[3.0, 1.25, 2.5, 4096.0]).unwrap();
-    });
-    let mut watch = || -> Vec<WorkerEvent> { Vec::new() };
-    let ledger = master_loop(
-        &mut master_ep,
-        &spec,
-        SchedulePolicy::Fifo,
-        &fast_cfg(),
-        &mut watch,
-    )
-    .unwrap();
-    h.join().unwrap();
-    assert_eq!(ledger.worker_stats.len(), 1);
-    let ws = &ledger.worker_stats[0];
-    assert_eq!(ws.modes, 3);
-    assert_eq!(ws.busy_seconds, 1.25);
-    assert_eq!(ws.total_seconds, 2.5);
-    assert_eq!(ws.bytes_sent, 4096);
-    // the counters the old layout never carried read as zero
-    assert_eq!(ws.steps_accepted, 0);
-    assert_eq!(ws.steps_rejected, 0);
-    assert_eq!(ws.rhs_evals, 0);
-}
-
-#[test]
 fn garbled_stats_payload_is_a_protocol_error() {
+    // an empty k-grid reduces the protocol to its bookkeeping frame:
+    // job open → request → release → stats
     let spec = RunSpec::standard_cdm(Vec::new());
     let (mut master_ep, mut wep) = split_pair();
     let h = thread::spawn(move || {
         let mut buf = Vec::new();
-        wep.recv(0, TAG_INIT, &mut buf).unwrap();
+        wep.recv(0, TAG_NEWJOB, &mut buf).unwrap();
         wep.send(0, TAG_REQUEST, &[0.0]).unwrap();
-        wep.recv(0, TAG_STOP, &mut buf).unwrap();
-        // neither 4 nor 8 reals: must be rejected, not zero-padded
+        wep.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+        // not 10 reals: must be rejected, not zero-padded
         wep.send(0, TAG_STATS, &[1.0, 2.0, 3.0]).unwrap();
     });
     let mut watch = || -> Vec<WorkerEvent> { Vec::new() };
-    let err = master_loop(
+    let err = master_job_session(
         &mut master_ep,
         &spec,
         SchedulePolicy::Fifo,
         &fast_cfg(),
         &mut watch,
+        Instant::now(),
+        &JobControl::default(),
+        None,
     )
     .unwrap_err();
     h.join().unwrap();

@@ -550,3 +550,36 @@ fn killed_worker_leaves_a_flight_recorder_dump() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn client_errors_print_usage_only_for_bad_arguments() {
+    // a refused connection is a run failure: one `error:` line, no
+    // usage text
+    let out = Command::new(exe())
+        .args(["--connect", "127.0.0.1:1", "--retries", "0"])
+        .output()
+        .expect("run client");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "refused connection exited 0");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error:")),
+        "no error line: {stderr}"
+    );
+    assert!(
+        !stderr.contains("usage:"),
+        "usage after a run error: {stderr}"
+    );
+
+    // no mode flag is an argument error: the usage text still helps
+    let out = Command::new(exe())
+        .args(["--workers", "2"])
+        .output()
+        .expect("run without a mode");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "missing mode exited 0");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error:")),
+        "no error line: {stderr}"
+    );
+    assert!(stderr.contains("usage:"), "usage missing: {stderr}");
+}

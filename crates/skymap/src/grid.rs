@@ -1,7 +1,6 @@
 //! Spherical-harmonic synthesis on an equirectangular grid.
 
 use crate::alm::AlmRealization;
-use rayon::prelude::*;
 use special::legendre::assoc_legendre_norm_array;
 
 /// A latitude/longitude map (row 0 = north pole side).
@@ -22,7 +21,6 @@ impl SkyMap {
         assert!(nlat >= 2 && nlon >= 4);
         let l_max = alm.l_max;
         let data: Vec<f64> = (0..nlat)
-            .into_par_iter()
             .flat_map(|ilat| {
                 let theta = std::f64::consts::PI * (ilat as f64 + 0.5) / nlat as f64;
                 let x = theta.cos();

@@ -46,6 +46,19 @@ assert all("pid" in ev and "tid" in ev and "ts" in ev and "dur" in ev for ev in 
 print(f"smoke: efficiency {eff:.3f}, {len(trace)} trace events")
 EOF
 
+echo "== transport equivalence smoke =="
+# one draft grid farmed over channel threads, shmem threads, and TCP
+# worker processes (the binary re-executes itself with --tcp-worker)
+# must write byte-identical moment files
+for transport in channel shmem tcp; do
+    cargo run -q --release -p plinger --bin plinger -- \
+        --preset draft --nk 3 --workers 2 --transport "$transport" \
+        --telemetry off --output "$smoke_dir/eq_$transport" 2> /dev/null
+done
+cmp "$smoke_dir/eq_channel.lingerd" "$smoke_dir/eq_shmem.lingerd"
+cmp "$smoke_dir/eq_channel.lingerd" "$smoke_dir/eq_tcp.lingerd"
+echo "transport equivalence: channel, shmem, tcp moment files identical"
+
 echo "== service smoke run =="
 # spectrum-as-a-service: a warm pool behind plinger-serve must answer
 # two identical requests with one cache hit (bitwise-equal bodies, no
