@@ -262,7 +262,6 @@ impl Integrator {
     /// steps (the line-of-sight source recorder).  Returning `false`
     /// aborts the integration with [`OdeError::Aborted`] (cooperative
     /// cancellation); returning `true` continues.
-    #[allow(clippy::needless_range_loop)] // RK stages index k[s][j] in lockstep
     pub fn integrate_observed<R: Rhs + ?Sized>(
         &mut self,
         rhs: &mut R,
@@ -349,17 +348,17 @@ impl Integrator {
                 fsal_valid = true;
             }
 
-            // stages
+            // stages: ytmp accumulates a_is·k_s one stage row at a time
+            // (zero coefficients skipped), then becomes y + h·acc
             for i in 1..tab.stages {
-                let arow = tab.row(i);
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for (s, &a) in arow.iter().enumerate() {
-                        if a != 0.0 {
-                            acc += a * self.k[s][j];
-                        }
+                self.ytmp.fill(0.0);
+                for (s, &a) in tab.row(i).iter().enumerate() {
+                    if a != 0.0 {
+                        axpy(&mut self.ytmp, a, &self.k[s]);
                     }
-                    self.ytmp[j] = y[j] + h * acc;
+                }
+                for (yt, &yj) in self.ytmp.iter_mut().zip(y.iter()) {
+                    *yt = yj + h * *yt;
                 }
                 let ti = t + tab.c[i] * h;
                 // split borrow: k[i] vs earlier rows already read
@@ -369,39 +368,35 @@ impl Integrator {
                 stats.rhs_flops += flops_rhs;
             }
 
-            // combine
-            for j in 0..n {
-                let mut ynj = 0.0;
-                let mut errj = 0.0;
-                for s in 0..tab.stages {
-                    let ksj = self.k[s][j];
-                    if tab.b[s] != 0.0 {
-                        ynj += tab.b[s] * ksj;
-                    }
-                    if tab.b_err[s] != 0.0 {
-                        errj += tab.b_err[s] * ksj;
-                    }
+            // combine: the same sweep with b into ynew and b_err into yerr
+            self.ynew.fill(0.0);
+            self.yerr.fill(0.0);
+            for (s, ks) in self.k[..tab.stages].iter().enumerate() {
+                if tab.b[s] != 0.0 {
+                    axpy(&mut self.ynew, tab.b[s], ks);
                 }
-                self.ynew[j] = y[j] + h * ynj;
-                self.yerr[j] = h * errj;
+                if tab.b_err[s] != 0.0 {
+                    axpy(&mut self.yerr, tab.b_err[s], ks);
+                }
             }
             stats.stepper_flops += comb_flops;
 
-            // weighted RMS error norm
+            // finish both combinations and take the weighted RMS error
+            // norm in one j-ascending pass
             let mut errsum = 0.0;
             let mut finite = true;
-            for j in 0..n {
-                let sc = opts.atol + opts.rtol * y[j].abs().max(self.ynew[j].abs());
-                let e = self.yerr[j] / sc;
+            for ((yn, ye), &yj) in self.ynew.iter_mut().zip(self.yerr.iter_mut()).zip(y.iter()) {
+                *yn = yj + h * *yn;
+                *ye *= h;
+                let sc = opts.atol + opts.rtol * yj.abs().max(yn.abs());
+                let e = *ye / sc;
                 errsum += e * e;
-                if !self.ynew[j].is_finite() {
-                    finite = false;
-                }
+                finite &= yn.is_finite();
             }
             let err = (errsum / n as f64).sqrt();
 
             if !finite || !err.is_finite() {
-                // halve and retry
+                // quarter the step and retry
                 stats.rejected += 1;
                 h *= 0.25;
                 fsal_valid = false;
@@ -471,6 +466,16 @@ impl Integrator {
                 fsal_valid = !tab.fsal || fsal_valid; // k[0] still valid at (t, y)
             }
         }
+    }
+}
+
+/// `acc += a·x`, component by component.  Kept as a plain multiply and
+/// add (no `mul_add`, no reassociation) so every component sums its
+/// stage terms in the same order, to the same bits, on every target.
+#[inline]
+fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
+    for (acc, &x) in acc.iter_mut().zip(x) {
+        *acc += a * x;
     }
 }
 

@@ -22,7 +22,7 @@ use plinger::cli::{parse, CliOptions, Parsed, TelemetryMode, TransportKind, USAG
 use plinger::output_files::{write_ascii, write_binary, write_run_report, write_trace};
 use plinger::{
     parse_worker_fault, render_pretty, run_tcp_processes, run_tcp_worker, Farm, FarmReport,
-    SchedulePolicy, TcpFarmOptions,
+    SchedulePolicy, TcpFarmOptions, WORKER_SPAN_CAPACITY,
 };
 
 /// Exit code used by scripted-fault workers so the master's respawn
@@ -164,6 +164,13 @@ fn run_master(opts: CliOptions) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("plinger: chrome trace written to {path}");
+        let dropped = report.telemetry.worker_spans_dropped;
+        if dropped > 0 {
+            eprintln!(
+                "plinger: warning: trace lacks the earliest {dropped} worker span(s); \
+                 each worker keeps its latest {WORKER_SPAN_CAPACITY}"
+            );
+        }
     }
     eprintln!("plinger: total {:.2} s", t0.elapsed().as_secs_f64());
     ExitCode::SUCCESS

@@ -26,7 +26,7 @@ use ode::Integrator;
 use recomb::ThermoHistory;
 
 use crate::error::FarmError;
-use crate::master::MasterConfig;
+use crate::master::{FaultHold, MasterConfig};
 use crate::pool::{FarmPool, PoolOptions, TcpFarmPool};
 use crate::protocol::RunSpec;
 use crate::recovery::{RecoveryLog, RecoveryPolicy, WorkerEvent};
@@ -180,6 +180,21 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
+    /// The master-side hold that makes a scripted worker fault fire
+    /// whatever the timing (see [`FaultHold`]).
+    pub(crate) fn hold(&self) -> Option<FaultHold> {
+        match *self {
+            FaultPlan::DropWorker { rank, after_modes }
+            | FaultPlan::StallWorker {
+                rank, after_modes, ..
+            } => Some(FaultHold {
+                rank,
+                modes: after_modes + 1,
+            }),
+            _ => None,
+        }
+    }
+
     /// The worker-level fault rank `rank` should run under this plan.
     pub(crate) fn worker_fault(&self, rank: Rank) -> Option<WorkerFault> {
         match *self {
@@ -319,11 +334,11 @@ impl<W: World> Farm<W> {
 /// the session explicitly quarantined, which are accounted in the
 /// recovery log instead.  `comm` and `worker_spans` carry the measured
 /// telemetry: per-endpoint counters in rank order and the workers'
-/// local span timelines.
+/// local span timelines (with the count their bound evicted).
 pub(crate) fn finish_report(
     ledger: crate::master::MasterLedger,
     comm: Vec<msgpass::instrument::CommSnapshot>,
-    worker_spans: Vec<telemetry::SpanEvent>,
+    worker_spans: crate::pool::WorkerSpans,
 ) -> Result<FarmReport, FarmError> {
     let quarantined: std::collections::HashSet<usize> =
         ledger.recovery.failed_modes.iter().map(|f| f.ik).collect();
@@ -341,7 +356,7 @@ pub(crate) fn finish_report(
         }
     }
     let mut spans = ledger.spans;
-    spans.extend(worker_spans);
+    spans.extend(worker_spans.events);
     Ok(FarmReport {
         outputs,
         wall_seconds: ledger.wall_seconds,
@@ -351,6 +366,7 @@ pub(crate) fn finish_report(
         telemetry: FarmTelemetry {
             comm,
             spans,
+            worker_spans_dropped: worker_spans.dropped,
             master_idle_seconds: ledger.idle_seconds,
         },
         recovery: ledger.recovery,

@@ -67,4 +67,6 @@ pub use service::{
     TAG_RESP_SPECTRUM,
 };
 pub use simulate::{simulate_farm, synthetic_costs, SimParams, SimResult};
-pub use worker::{worker_pool_session, PoolWorkerOutcome, WorkerFault, WorkerStats};
+pub use worker::{
+    worker_pool_session, PoolWorkerOutcome, WorkerFault, WorkerStats, WORKER_SPAN_CAPACITY,
+};

@@ -107,6 +107,26 @@ impl JobControl<'_> {
     }
 }
 
+/// A scripted worker fault the master schedules around, so that the
+/// fault fires whatever the timing.  [`FaultPlan::DropWorker`] and
+/// [`FaultPlan::StallWorker`] strike when their rank reaches the mode
+/// after its `after_modes`-th — which it reaches only if it is handed
+/// that many modes.  Without a hold, a peer that built its physics
+/// tables first can drain a short queue and the fault never fires.  So
+/// the master keeps `modes` modes in the queue for the scripted rank
+/// until it has been handed them; the hold then lapses, as it does when
+/// the rank dies or is replaced.  Only fault-injection runs carry one.
+///
+/// [`FaultPlan::DropWorker`]: crate::FaultPlan::DropWorker
+/// [`FaultPlan::StallWorker`]: crate::FaultPlan::StallWorker
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FaultHold {
+    /// The scripted rank.
+    pub(crate) rank: Rank,
+    /// Modes still to hand it, the one its fault strikes on included.
+    pub(crate) modes: usize,
+}
+
 /// What the master accumulated over one farm run.
 #[derive(Debug)]
 pub struct MasterLedger {
@@ -134,7 +154,7 @@ pub struct MasterLedger {
 }
 
 /// Internal mutable state of one master session.
-struct Session {
+struct Session<'h> {
     queue: WorkQueue,
     ks: Vec<f64>,
     outputs: Vec<Option<ModeOutput>>,
@@ -164,6 +184,10 @@ struct Session {
     /// Ranks that have asked for work this job.  Every live rank that
     /// has not keeps a chunk of the queue reserved (see `dispatch`).
     asked: HashSet<Rank>,
+    /// The pool's scripted-fault hold, if any: more of the queue kept
+    /// for one rank (see `dispatch`).  Updated in place, so it carries
+    /// over to the pool's next job.
+    hold: &'h mut Option<FaultHold>,
     /// Modes that exhausted their attempt budget.
     quarantined: HashSet<usize>,
     /// Counters for every recovery action.
@@ -186,7 +210,7 @@ struct Session {
     job: String,
 }
 
-impl Session {
+impl Session<'_> {
     fn ikdone(&self) -> usize {
         self.completion_log.len()
     }
@@ -249,13 +273,30 @@ impl Session {
         let unasked = (1..=self.n_workers)
             .filter(|&r| r != rank && !self.asked.contains(&r) && !self.dead.contains(&r))
             .count();
-        let free = self.queue.len().saturating_sub(unasked * self.chunk);
+        let mut reserved = unasked * self.chunk;
+        if let Some(h) = (*self.hold).filter(|h| h.rank != rank && !self.dead.contains(&h.rank)) {
+            // a scripted fault's rank also keeps its hold; an unasked
+            // chunk already kept for it counts towards that
+            let counted = if self.asked.contains(&h.rank) {
+                0
+            } else {
+                self.chunk
+            };
+            reserved += h.modes.saturating_sub(counted);
+        }
+        let free = self.queue.len().saturating_sub(reserved);
         let iks = if free > 0 {
             self.queue.pop_chunk(self.chunk.min(free))
         } else {
             Vec::new()
         };
         if !iks.is_empty() {
+            if let Some(h) = self.hold.as_mut().filter(|h| h.rank == rank) {
+                h.modes = h.modes.saturating_sub(iks.len());
+                if h.modes == 0 {
+                    *self.hold = None;
+                }
+            }
             let t0 = Instant::now();
             let wire: Vec<f64> = iks.iter().map(|&ik| ik as f64).collect();
             mysendreal(t, &wire, TAG_ASSIGN, rank)?;
@@ -417,6 +458,13 @@ impl Session {
         Ok(())
     }
 
+    /// Drop the scripted-fault hold on `rank`: that incarnation is gone.
+    fn release_hold(&mut self, rank: Rank) {
+        if self.hold.is_some_and(|h| h.rank == rank) {
+            *self.hold = None;
+        }
+    }
+
     /// Declare a rank dead and recover its in-flight mode (Requeue
     /// policy only).
     fn mark_dead<T: Transport>(
@@ -439,6 +487,7 @@ impl Session {
             ],
         );
         self.parked.remove(&rank);
+        self.release_hold(rank);
         self.recover_chunk(t, rank, reason)?;
         // a rank that died before asking frees the chunk reserved for it
         let parked: Vec<Rank> = self.parked.drain().collect();
@@ -479,6 +528,8 @@ impl Session {
                     self.dead.remove(&rank);
                     self.stopped.remove(&rank);
                     self.parked.remove(&rank);
+                    // the replacement runs no scripted fault
+                    self.release_hold(rank);
                     self.stats[rank - 1] = None;
                     // a watch that replaces a child reports Respawned
                     // without a Dead first; whatever the old incarnation
@@ -732,6 +783,26 @@ pub fn master_job_session<T: Transport>(
     ctrl: &JobControl<'_>,
     prefetch: Option<&RunSpec>,
 ) -> Result<MasterLedger, FarmError> {
+    master_job_session_held(
+        t, spec, policy, cfg, watch, epoch, ctrl, prefetch, &mut None,
+    )
+}
+
+/// [`master_job_session`] for a pool that scripts a worker fault:
+/// `hold` keeps part of the queue for the scripted rank (see
+/// [`FaultHold`]) and is updated in place across the pool's jobs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn master_job_session_held<T: Transport>(
+    t: &mut T,
+    spec: &RunSpec,
+    policy: SchedulePolicy,
+    cfg: &MasterConfig,
+    watch: &mut dyn FnMut() -> Vec<WorkerEvent>,
+    epoch: Instant,
+    ctrl: &JobControl<'_>,
+    prefetch: Option<&RunSpec>,
+    hold: &mut Option<FaultHold>,
+) -> Result<MasterLedger, FarmError> {
     let t0 = Instant::now();
     let nk = spec.ks.len();
     let n_workers = t.size() - 1;
@@ -753,6 +824,7 @@ pub fn master_job_session<T: Transport>(
         last_seen: vec![Instant::now(); n_workers],
         parked: HashSet::new(),
         asked: HashSet::new(),
+        hold,
         quarantined: HashSet::new(),
         recovery: RecoveryLog::default(),
         rec: SpanRecorder::new(epoch, 0, 0),
@@ -797,6 +869,7 @@ pub fn master_job_session<T: Transport>(
                     continue;
                 }
                 s.dead.remove(&rank);
+                s.release_hold(rank);
                 s.recovery.respawns += 1;
             }
         }
@@ -1220,6 +1293,69 @@ mod tests {
         }
         let ledger = master.join().unwrap().unwrap();
         assert_eq!(ledger.recovery.failed_modes.len(), 2);
+    }
+
+    #[test]
+    fn a_scripted_fault_keeps_its_modes_queued_until_handed_over() {
+        // rank 2 is scripted to fail on its second mode (after_modes 1),
+        // so two of the three modes wait for it even though rank 1 asks
+        // first and asks again; the modes are reported failed, never
+        // integrated, and quarantined after one attempt
+        let spec = RunSpec::standard_cdm(vec![0.01, 0.02, 0.03]);
+        let mut eps = ChannelWorld::new(3);
+        let mut w2 = eps.pop().unwrap();
+        let mut w1 = eps.pop().unwrap();
+        let mut master_ep = eps.pop().unwrap();
+        let cfg = MasterConfig {
+            poll: Duration::from_millis(5),
+            drain_timeout: Duration::from_millis(300),
+            recovery: RecoveryPolicy::Requeue {
+                max_attempts: 1,
+                respawn: false,
+            },
+            ..MasterConfig::default()
+        };
+        let master = thread::spawn(move || {
+            let mut hold = Some(FaultHold { rank: 2, modes: 2 });
+            let ledger = master_job_session_held(
+                &mut master_ep,
+                &spec,
+                SchedulePolicy::Fifo,
+                &cfg,
+                &mut no_watch(),
+                Instant::now(),
+                &JobControl::default(),
+                None,
+                &mut hold,
+            );
+            (ledger, hold)
+        });
+        let mut buf = Vec::new();
+        w1.recv(0, TAG_NEWJOB, &mut buf).unwrap();
+        w1.send(0, TAG_REQUEST, &[0.0]).unwrap();
+        w1.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+        assert_eq!(buf, [0.0]);
+        w1.send(0, TAG_FAIL, &[0.0, 0.0]).unwrap();
+        let early = w1.probe_timeout(Some(0), None, Duration::from_millis(100));
+        assert!(
+            matches!(early, Ok(None)),
+            "rank 1 took a mode held for rank 2: {early:?}"
+        );
+        w2.recv(0, TAG_NEWJOB, &mut buf).unwrap();
+        w2.send(0, TAG_REQUEST, &[0.0]).unwrap();
+        for ik in [1.0, 2.0] {
+            w2.recv(0, TAG_ASSIGN, &mut buf).unwrap();
+            assert_eq!(buf, [ik]);
+            w2.send(0, TAG_FAIL, &[ik, 0.0]).unwrap();
+        }
+        for w in [&mut w1, &mut w2] {
+            w.recv(0, TAG_JOBDONE, &mut buf).unwrap();
+            w.send(0, TAG_STATS, &WorkerStats::default().to_wire())
+                .unwrap();
+        }
+        let (ledger, hold) = master.join().unwrap();
+        assert_eq!(ledger.unwrap().recovery.failed_modes.len(), 3);
+        assert_eq!(hold, None, "the hold lapses once its modes are handed over");
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::farm::{
     finish_report, spawn_tcp_worker, watch_tcp_children, worker_fault_arg, FarmReport, FaultPlan,
     TcpFarmOptions,
 };
-use crate::master::{master_job_session, JobControl, MasterConfig, MasterLedger};
+use crate::master::{master_job_session_held, FaultHold, JobControl, MasterConfig, MasterLedger};
 use crate::protocol::{RunSpec, TAG_STOP};
 use crate::recovery::{RecoveryPolicy, WorkerEvent};
 use crate::schedule::SchedulePolicy;
@@ -115,8 +115,26 @@ pub struct PoolShutdown {
     /// joins; per-job reports carry master spans only, because worker
     /// threads are still running when a job's report is cut — except
     /// the one-job [`Farm::run`](crate::Farm::run), whose report is cut
-    /// after the joins).
+    /// after the joins).  Each worker keeps only its latest
+    /// [`WORKER_SPAN_CAPACITY`](crate::WORKER_SPAN_CAPACITY) spans.
     pub worker_spans: Vec<SpanEvent>,
+    /// Earlier worker spans evicted by that bound, summed over workers.
+    pub worker_spans_dropped: u64,
+}
+
+/// Worker span timelines harvested from joined threads, with the count
+/// of spans their bounded recorders evicted.
+#[derive(Debug, Default)]
+pub(crate) struct WorkerSpans {
+    pub(crate) events: Vec<SpanEvent>,
+    pub(crate) dropped: u64,
+}
+
+impl WorkerSpans {
+    fn absorb(&mut self, out: PoolWorkerOutcome) {
+        self.events.extend(out.spans);
+        self.dropped += out.spans_dropped;
+    }
 }
 
 /// A warm farm: one world whose workers stay resident — physics caches,
@@ -148,7 +166,10 @@ pub struct FarmPool<W: World> {
     /// next job's per-job comm table is a delta against.
     comm_prev: Vec<CommSnapshot>,
     /// Worker spans harvested from joined (dead or stopped) threads.
-    spans: Vec<SpanEvent>,
+    spans: WorkerSpans,
+    /// Queue the master keeps for a scripted worker fault until it has
+    /// fired (fault-injection pools only; see [`FaultHold`]).
+    fault_hold: Option<FaultHold>,
     jobs_run: usize,
     closed: bool,
 }
@@ -228,7 +249,8 @@ impl<W: World> FarmPool<W> {
                 0
             },
             comm_prev: Vec::new(),
-            spans: Vec::new(),
+            spans: WorkerSpans::default(),
+            fault_hold: opts.fault.and_then(|f| f.hold()),
             jobs_run: 0,
             closed: false,
         };
@@ -358,7 +380,7 @@ impl<W: World> FarmPool<W> {
         let comm = self.cut_comm();
         let ledger = outcome?;
         self.jobs_run += 1;
-        finish_report(ledger, comm, Vec::new())
+        finish_report(ledger, comm, WorkerSpans::default())
     }
 
     /// Drive the master through one job, with the pool's liveness watch
@@ -402,7 +424,7 @@ impl<W: World> FarmPool<W> {
                 if let Some(handle) = w.handle.take() {
                     if let Ok((outcome, ep)) = handle.join() {
                         if let Ok(out) = outcome {
-                            spans.extend(out.spans);
+                            spans.absorb(out);
                         }
                         endpoint = Some(ep);
                     }
@@ -438,8 +460,16 @@ impl<W: World> FarmPool<W> {
             }
             events
         };
-        master_job_session(
-            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
+        master_job_session_held(
+            master,
+            spec,
+            policy,
+            &config,
+            &mut watch,
+            epoch,
+            ctrl,
+            prefetch,
+            &mut self.fault_hold,
         )
     }
 
@@ -448,9 +478,11 @@ impl<W: World> FarmPool<W> {
     /// span timelines.
     pub fn shutdown(mut self) -> PoolShutdown {
         self.close();
+        let spans = std::mem::take(&mut self.spans);
         PoolShutdown {
             jobs: self.jobs_run,
-            worker_spans: std::mem::take(&mut self.spans),
+            worker_spans: spans.events,
+            worker_spans_dropped: spans.dropped,
         }
     }
 
@@ -471,7 +503,7 @@ impl<W: World> FarmPool<W> {
         for w in self.workers.iter_mut() {
             if let Some(handle) = w.handle.take() {
                 if let Ok((Ok(out), _ep)) = handle.join() {
-                    self.spans.extend(out.spans);
+                    self.spans.absorb(out);
                 }
             }
         }
@@ -539,6 +571,9 @@ pub struct TcpFarmPool {
     config: MasterConfig,
     epoch: Instant,
     comm_prev: CommSnapshot,
+    /// Queue the master keeps for a scripted worker fault until it has
+    /// fired (fault-injection pools only; see [`FaultHold`]).
+    fault_hold: Option<FaultHold>,
     jobs_run: usize,
     closed: bool,
 }
@@ -601,6 +636,7 @@ impl TcpFarmPool {
             config: cfg,
             epoch: Instant::now(),
             comm_prev,
+            fault_hold: opts.fault.and_then(|f| f.hold()),
             jobs_run: 0,
             closed: false,
         })
@@ -648,7 +684,7 @@ impl TcpFarmPool {
         let comm = self.cut_comm();
         let ledger = outcome?;
         self.jobs_run += 1;
-        finish_report(ledger, comm, Vec::new())
+        finish_report(ledger, comm, WorkerSpans::default())
     }
 
     /// Run exactly one job, shut the pool down, and cut the report —
@@ -662,7 +698,7 @@ impl TcpFarmPool {
         let outcome = self.run_ledger(spec, policy, &JobControl::default(), None);
         self.close();
         let comm = self.cut_comm();
-        finish_report(outcome?, comm, Vec::new())
+        finish_report(outcome?, comm, WorkerSpans::default())
     }
 
     /// The master endpoint's comm table since the previous cut, which
@@ -699,8 +735,16 @@ impl TcpFarmPool {
         let mut watch = || -> Vec<WorkerEvent> {
             watch_tcp_children(children, handled, respawns_left, exe, addr, size, port)
         };
-        master_job_session(
-            master, spec, policy, &config, &mut watch, epoch, ctrl, prefetch,
+        master_job_session_held(
+            master,
+            spec,
+            policy,
+            &config,
+            &mut watch,
+            epoch,
+            ctrl,
+            prefetch,
+            &mut self.fault_hold,
         )
     }
 
@@ -732,5 +776,37 @@ impl TcpFarmPool {
 impl Drop for TcpFarmPool {
     fn drop(&mut self) {
         self.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::WORKER_SPAN_CAPACITY;
+    use boltzmann::Preset;
+    use msgpass::channel::ChannelWorld;
+
+    #[test]
+    fn resident_worker_span_timeline_is_bounded() {
+        // enough jobs that one worker's `mode`/`wait` spans overflow
+        // its ring: about 2 spans per mode plus one per job
+        let mut spec = RunSpec::standard_cdm(vec![2.0e-4, 3.0e-4, 4.0e-4, 5.0e-4]);
+        spec.preset = Preset::Draft;
+        let jobs = WORKER_SPAN_CAPACITY / 8;
+        let mut pool = FarmPool::<ChannelWorld>::start(1).expect("pool start");
+        for _ in 0..jobs {
+            pool.run_job(&spec, SchedulePolicy::LargestFirst)
+                .expect("pooled job");
+        }
+        let shutdown = pool.shutdown();
+        assert_eq!(shutdown.jobs, jobs);
+        assert!(
+            shutdown.worker_spans.len() <= WORKER_SPAN_CAPACITY,
+            "{} worker spans kept",
+            shutdown.worker_spans.len()
+        );
+        assert!(shutdown.worker_spans_dropped > 0, "nothing was evicted");
+        // a ring only evicts when full
+        assert_eq!(shutdown.worker_spans.len(), WORKER_SPAN_CAPACITY);
     }
 }

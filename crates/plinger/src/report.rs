@@ -82,6 +82,9 @@ pub struct FarmTelemetry {
     pub comm: Vec<CommSnapshot>,
     /// Merged span timeline: master track 0 plus one track per worker.
     pub spans: Vec<SpanEvent>,
+    /// Worker spans missing from `spans` because each worker keeps only
+    /// its latest [`WORKER_SPAN_CAPACITY`](crate::WORKER_SPAN_CAPACITY).
+    pub worker_spans_dropped: u64,
     /// Seconds the master spent with no message pending.
     pub master_idle_seconds: f64,
 }
@@ -410,6 +413,7 @@ mod tests {
         let t = FarmTelemetry {
             comm: vec![a, b],
             spans: Vec::new(),
+            worker_spans_dropped: 0,
             master_idle_seconds: 0.0,
         };
         assert_eq!(t.merged_comm().sent_count[3], 7);

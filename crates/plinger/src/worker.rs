@@ -343,6 +343,13 @@ struct PhysicsCache {
     thermo: ThermoHistory,
 }
 
+/// Span events a resident worker keeps: its timeline is a ring of this
+/// many events (the flight recorder's bound), so a worker serving jobs
+/// for the life of a service holds a fixed amount of trace, not one
+/// more span per mode forever.  Evictions are counted in
+/// [`PoolWorkerOutcome::spans_dropped`].
+pub const WORKER_SPAN_CAPACITY: usize = 1024;
+
 /// What one persistent worker accumulated over its whole pool lifetime.
 #[derive(Debug, Default)]
 pub struct PoolWorkerOutcome {
@@ -350,9 +357,19 @@ pub struct PoolWorkerOutcome {
     pub jobs: usize,
     /// Whole-lifetime statistics: the per-job reports summed.
     pub stats: WorkerStats,
-    /// Local wall-clock spans across all jobs, on one timeline
-    /// (`mode`, `wait`, and `build_ctx` events).
+    /// Local wall-clock spans on one timeline (`mode`, `wait`, and
+    /// `build_ctx` events): the latest [`WORKER_SPAN_CAPACITY`] of them.
     pub spans: Vec<SpanEvent>,
+    /// Earlier spans evicted from the timeline to respect its bound.
+    pub spans_dropped: u64,
+}
+
+impl PoolWorkerOutcome {
+    fn with_spans(mut self, rec: SpanRecorder) -> Self {
+        self.spans_dropped = rec.dropped();
+        self.spans = rec.into_events();
+        self
+    }
 }
 
 /// The worker session (`kidsub` of Appendix A): serve jobs until the
@@ -385,7 +402,8 @@ pub struct PoolWorkerOutcome {
 /// The worker records `mode` spans (one per integration, with `ik` and
 /// `k` arguments), `wait` spans (blocked on the master between one
 /// result and the next assignment), and `build_ctx`/`prefetch_ctx`
-/// spans (physics-table builds).  During each integration it emits
+/// spans (physics-table builds), keeping the latest
+/// [`WORKER_SPAN_CAPACITY`] of them.  During each integration it emits
 /// tag-9 heartbeats between DVERK step batches, at most one per
 /// `HEARTBEAT_MIN_INTERVAL` (100 ms); heartbeat sends are best-effort
 /// and excluded from [`WorkerStats::bytes_sent`], which accounts result
@@ -397,7 +415,7 @@ pub fn worker_pool_session<T: Transport>(
 ) -> Result<PoolWorkerOutcome, FarmError> {
     let (mytid, mastid) = initpass(t);
     let mut buf = Vec::new();
-    let mut rec = SpanRecorder::new(epoch, 0, mytid as u64);
+    let mut rec = SpanRecorder::bounded(epoch, 0, mytid as u64, WORKER_SPAN_CAPACITY);
     let mut out = PoolWorkerOutcome::default();
     let mut cache: Option<PhysicsCache> = None;
     let mut integ = Integrator::new();
@@ -412,8 +430,7 @@ pub fn worker_pool_session<T: Transport>(
         if tag != TAG_INIT && tag != TAG_NEWJOB {
             let n = myrecvreal(t, &mut buf, tag, mastid)?;
             if tag == TAG_STOP {
-                out.spans = rec.into_events();
-                return Ok(out);
+                return Ok(out.with_spans(rec));
             }
             if tag == TAG_PREFETCH {
                 // a hint, not a job: warm the physics cache for the
@@ -500,8 +517,7 @@ pub fn worker_pool_session<T: Transport>(
             // scripted vanish/stall, or a stop mid-job: end the session
             // without the goodbye
             out.stats.absorb(&stats);
-            out.spans = rec.into_events();
-            return Ok(out);
+            return Ok(out.with_spans(rec));
         }
         stats.total_seconds = t_start.elapsed().as_secs_f64();
         mysendreal(t, &stats.to_wire(), TAG_STATS, mastid)?;

@@ -2,10 +2,13 @@
 //!
 //! A [`SpanRecorder`] is owned by one thread (master or worker), stamps
 //! events against a shared epoch `Instant`, and is folded into the run
-//! snapshot when the thread finishes.  [`write_chrome_trace`] serializes
+//! snapshot when the thread finishes.  A recorder is unbounded, or — for
+//! threads that live across many jobs — a ring of fixed capacity that
+//! evicts its oldest event and counts the eviction.  [`write_chrome_trace`] serializes
 //! a set of events in the Trace Event Format ("complete" events,
 //! `ph: "X"`) readable by `chrome://tracing` and Perfetto.
 
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::time::Instant;
 
@@ -60,7 +63,11 @@ pub struct SpanRecorder {
     epoch: Instant,
     pid: u64,
     tid: u64,
-    events: Vec<SpanEvent>,
+    events: VecDeque<SpanEvent>,
+    /// Ring capacity; `None` keeps every event.
+    capacity: Option<usize>,
+    /// Events evicted from a full ring.
+    dropped: u64,
 }
 
 impl SpanRecorder {
@@ -72,7 +79,22 @@ impl SpanRecorder {
             epoch,
             pid,
             tid,
-            events: Vec::new(),
+            events: VecDeque::new(),
+            capacity: None,
+            dropped: 0,
+        }
+    }
+
+    /// [`SpanRecorder::new`] as a ring keeping only the latest
+    /// `capacity` events (at least one): recording into a full ring
+    /// evicts the oldest event in O(1) and counts it in
+    /// [`SpanRecorder::dropped`].
+    pub fn bounded(epoch: Instant, pid: u64, tid: u64, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Self {
+            events: VecDeque::with_capacity(capacity),
+            capacity: Some(capacity),
+            ..Self::new(epoch, pid, tid)
         }
     }
 
@@ -98,7 +120,11 @@ impl SpanRecorder {
         }
         let ts_us = self.us_since_epoch(start);
         let end_us = self.us_since_epoch(end);
-        self.events.push(SpanEvent {
+        if self.capacity == Some(self.events.len()) {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(SpanEvent {
             name: name.to_string(),
             cat: cat.to_string(),
             pid: self.pid,
@@ -112,7 +138,7 @@ impl SpanRecorder {
         });
     }
 
-    /// Number of events recorded so far.
+    /// Number of events held (at most the capacity of a bounded ring).
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -122,9 +148,15 @@ impl SpanRecorder {
         self.events.is_empty()
     }
 
-    /// Consume the recorder, yielding its events.
+    /// Events a bounded ring evicted to make room (always 0 for an
+    /// unbounded recorder).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Consume the recorder, yielding its events oldest first.
     pub fn into_events(self) -> Vec<SpanEvent> {
-        self.events
+        self.events.into()
     }
 }
 
@@ -158,6 +190,27 @@ mod tests {
         assert_eq!(ev.dur_us, 250);
         assert_eq!(ev.tid, 3);
         assert_eq!(ev.args, vec![("ik".to_string(), "5".to_string())]);
+    }
+
+    #[test]
+    fn bounded_ring_keeps_the_latest_events_in_order_and_counts_drops() {
+        let epoch = Instant::now();
+        let mut r = SpanRecorder::bounded(epoch, 0, 1, 4);
+        for i in 0..10u64 {
+            let start = epoch + Duration::from_micros(i);
+            r.record("mode", "worker", start, start, &[("ik", i.to_string())]);
+            assert_eq!(r.len(), (i as usize + 1).min(4));
+            assert_eq!(r.dropped(), i.saturating_sub(3));
+        }
+        let ts: Vec<u64> = r.into_events().iter().map(|e| e.ts_us).collect();
+        assert_eq!(ts, vec![6, 7, 8, 9], "oldest evicted first, order kept");
+
+        // an unbounded recorder never drops
+        let mut u = SpanRecorder::new(epoch, 0, 0);
+        for _ in 0..100 {
+            u.record("x", "test", epoch, epoch, &[]);
+        }
+        assert_eq!((u.len(), u.dropped()), (100, 0));
     }
 
     #[test]

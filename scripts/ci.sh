@@ -263,6 +263,9 @@ echo "== hot-path differential layer =="
 # itself in the CI log
 cargo test -q -p background --test cache_differential
 cargo test -q -p recomb --test cache_differential
+# the stage-outer Runge-Kutta algebra against the component-outer
+# stepper it replaced, bit for bit (DESIGN.md, arithmetic contract)
+cargo test -q -p ode --test stage_algebra
 cargo test -q --test farm_transports chunked
 cargo test -q --test recovery_matrix chunk
 
@@ -278,6 +281,11 @@ echo "== rhs bench smoke =="
 # compile-and-run-once smoke of the microbench behind BENCH_rhs.json
 # (full measurement is scripts/bench_snapshot.sh, not a CI gate)
 cargo bench -p bench --bench rhs_eval -- --test
+
+echo "== stepper bench smoke =="
+# compile-and-run-once smoke of the stage-algebra microbench (one
+# Verner 6(5) step on n = 128/1024/4096 with a trivial RHS)
+cargo bench -p bench --bench stepper -- --test
 
 echo "== los bench smoke =="
 # compile-and-run-once smoke of the end-to-end method comparison behind
@@ -297,6 +305,14 @@ echo "== fault matrix =="
 cargo test -q --test recovery_matrix
 cargo test -q -p plinger --test tcp_recovery --test protocol_compat
 cargo test -q -p msgpass fault::
+
+echo "== recovery flake gate =="
+# scripted faults fire on a mode count the master holds work for, not
+# on timing, so the fault suites must pass on every run, not most runs
+for _ in $(seq 1 20); do
+    cargo test -q --test recovery_matrix --test farm_transports
+    cargo test -q -p plinger --test tcp_recovery
+done
 
 echo "== warm-pool determinism =="
 # pooled jobs must stay bitwise-identical to fresh farms with caches
