@@ -170,22 +170,36 @@ impl CosmoParams {
         self.omega_b * self.h * self.h
     }
 
-    /// Panic on unphysical parameters; called by `Background::new`.
-    pub fn validate(&self) {
-        assert!(self.h > 0.1 && self.h < 2.0, "h out of range: {}", self.h);
-        assert!(self.omega_c >= 0.0, "negative Ω_c");
-        assert!(
+    /// Whether the parameters are physical: the first violated
+    /// condition, as text, or `Ok`.  Admission paths call this to refuse
+    /// a cosmology before anything builds tables from it.
+    pub fn check(&self) -> Result<(), String> {
+        // each condition holds for a physical value and fails for NaN
+        let ensure = |ok: bool, why: String| if ok { Ok(()) } else { Err(why) };
+        ensure(
+            self.h > 0.1 && self.h < 2.0,
+            format!("h out of range: {}", self.h),
+        )?;
+        ensure(self.omega_c >= 0.0, "negative Ω_c".into())?;
+        ensure(
             self.omega_b > 0.0,
-            "Ω_b must be positive (baryons required)"
-        );
-        assert!(self.t_cmb_k > 0.0, "T_cmb must be positive");
-        assert!(
+            "Ω_b must be positive (baryons required)".into(),
+        )?;
+        ensure(self.t_cmb_k > 0.0, "T_cmb must be positive".into())?;
+        ensure(
             (0.0..0.5).contains(&self.y_helium),
-            "Y_He out of range: {}",
-            self.y_helium
-        );
-        assert!(self.n_nu_massless >= 0.0, "negative N_ν");
-        assert!(self.m_nu_ev >= 0.0, "negative neutrino mass");
+            format!("Y_He out of range: {}", self.y_helium),
+        )?;
+        ensure(self.n_nu_massless >= 0.0, "negative N_ν".into())?;
+        ensure(self.m_nu_ev >= 0.0, "negative neutrino mass".into())
+    }
+
+    /// Panic on unphysical parameters ([`CosmoParams::check`]); called
+    /// by `Background::new`.
+    pub fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
     }
 }
 
@@ -227,6 +241,19 @@ mod tests {
         let p = CosmoParams::standard_cdm();
         // Ω_γ = 2.47e-5/0.25 ≈ 9.88e-5
         assert!((p.omega_gamma() - 2.4706e-5 / 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn check_names_the_first_violation_without_panicking() {
+        assert_eq!(CosmoParams::standard_cdm().check(), Ok(()));
+        let mut p = CosmoParams::lcdm();
+        p.h = 5.0;
+        assert_eq!(p.check(), Err("h out of range: 5".to_string()));
+        p.h = f64::NAN;
+        assert!(p.check().is_err(), "NaN h passed");
+        p.h = 0.7;
+        p.y_helium = 0.5;
+        assert_eq!(p.check(), Err("Y_He out of range: 0.5".to_string()));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Evolution of a single k-mode from the radiation era to the present —
 //! the unit of work a PLINGER worker performs.
 
-use background::Background;
+use background::{Background, CosmoParams};
 use ode::{IntegrateOpts, Integrator, Method, OdeError, StepStats};
 use recomb::ThermoHistory;
 
@@ -106,6 +106,24 @@ impl Default for ModeConfig {
     }
 }
 
+/// Largest |Ω_k| a mode evolution accepts.  The perturbation equations
+/// are the flat-space MB95 set; the hyperspherical generalization for
+/// open/closed models is out of scope.
+pub const MAX_ABS_OMEGA_K: f64 = 1.0e-3;
+
+/// `Ok` when `params` is flat enough for the perturbation equations
+/// (|Ω_k| < [`MAX_ABS_OMEGA_K`]) — the check every mode evolution makes
+/// first, for callers that want to refuse a cosmology up front.
+pub fn require_flat(params: &CosmoParams) -> Result<(), EvolveError> {
+    let omega_k = params.omega_k();
+    let flat = omega_k.abs() < MAX_ABS_OMEGA_K; // NaN is not flat
+    if flat {
+        Ok(())
+    } else {
+        Err(EvolveError::NonFlat { omega_k })
+    }
+}
+
 /// Failure modes of a mode evolution.
 #[derive(Debug)]
 pub enum EvolveError {
@@ -113,6 +131,11 @@ pub enum EvolveError {
     BadWavenumber {
         /// The offending wavenumber.
         k: f64,
+    },
+    /// The background is not flat: |Ω_k| ≥ [`MAX_ABS_OMEGA_K`].
+    NonFlat {
+        /// The background's curvature density.
+        omega_k: f64,
     },
     /// The ODE integrator failed.
     Ode {
@@ -129,6 +152,11 @@ impl std::fmt::Display for EvolveError {
             EvolveError::BadWavenumber { k } => {
                 write!(f, "wavenumber k = {k} Mpc⁻¹ is not positive and finite")
             }
+            EvolveError::NonFlat { omega_k } => write!(
+                f,
+                "perturbation evolution requires a flat background \
+                 (|Ω_k| < {MAX_ABS_OMEGA_K}), got Ω_k = {omega_k}"
+            ),
             EvolveError::Ode { k, source } => {
                 write!(f, "mode k = {k} Mpc⁻¹ failed: {source}")
             }
@@ -196,13 +224,7 @@ pub fn evolve_mode_scratch(
     if !(k > 0.0 && k.is_finite()) {
         return Err(EvolveError::BadWavenumber { k });
     }
-    // the perturbation equations are the flat-space MB95 set; the
-    // hyperspherical generalization for open/closed models is out of scope
-    assert!(
-        bg.params().omega_k().abs() < 1.0e-3,
-        "perturbation evolution requires a flat background (Ω_k = {})",
-        bg.params().omega_k()
-    );
+    require_flat(bg.params())?;
     let tau_end = config.tau_end.unwrap_or_else(|| bg.tau0());
     let preset = config.preset;
     let los = config.spectrum_method == SpectrumMethod::LineOfSight;
@@ -416,7 +438,6 @@ fn rhs_a(rhs: &LingerRhs<'_>, tau: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use background::CosmoParams;
     use std::sync::OnceLock;
 
     fn setup() -> &'static (Background, ThermoHistory) {

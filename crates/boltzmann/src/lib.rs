@@ -45,7 +45,8 @@ pub mod rhs;
 pub mod source;
 
 pub use evolve::{
-    evolve_mode, evolve_mode_observed, evolve_mode_scratch, EvolveError, ModeConfig, Preset,
+    evolve_mode, evolve_mode_observed, evolve_mode_scratch, require_flat, EvolveError, ModeConfig,
+    Preset, MAX_ABS_OMEGA_K,
 };
 pub use initial::InitialConditions;
 pub use layout::{Gauge, StateLayout};

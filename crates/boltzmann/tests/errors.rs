@@ -5,13 +5,18 @@ use boltzmann::{evolve_mode, ModeConfig, Preset};
 use recomb::ThermoHistory;
 
 #[test]
-#[should_panic(expected = "flat background")]
 fn open_universe_is_rejected() {
     let mut p = CosmoParams::standard_cdm();
     p.omega_c = 0.3; // Ω_k ≈ 0.65: strongly open
     let bg = Background::new(p);
     let th = ThermoHistory::new(&bg);
-    let _ = evolve_mode(&bg, &th, 0.01, &ModeConfig::default());
+    match evolve_mode(&bg, &th, 0.01, &ModeConfig::default()) {
+        Err(err @ boltzmann::EvolveError::NonFlat { omega_k }) => {
+            assert!(omega_k > 0.6, "Ω_k = {omega_k}");
+            assert!(err.to_string().contains("flat background"), "{err}");
+        }
+        other => panic!("open universe evolved: {:?}", other.map(|_| ())),
+    }
 }
 
 #[test]

@@ -48,6 +48,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use background::CosmoParams;
+use boltzmann::require_flat;
 use bytes::BytesMut;
 use msgpass::channel::ChannelWorld;
 use msgpass::shmem::ShmemWorld;
@@ -608,10 +610,12 @@ fn answer_spectrum<W: World>(
         metrics.total_ns.record(elapsed_ns(t_accept));
     };
 
-    let req = match SpectrumRequest::decode(data) {
+    let req = SpectrumRequest::decode(data)
+        .map_err(|e| spec_error_text(&e))
+        .and_then(|req| admit_cosmology(&req.spec.cosmo).map(|()| req));
+    let req = match req {
         Ok(req) => req,
-        Err(e) => {
-            let text = spec_error_text(&e);
+        Err(text) => {
             metrics.errors.inc();
             tlog::log(
                 Level::Error,
@@ -749,10 +753,18 @@ fn answer_ensemble<W: World>(
         metrics.leave_queue();
         metrics.total_ns.record(elapsed_ns(t_accept));
     };
-    let req = match EnsembleRequest::decode(data) {
+    let req = EnsembleRequest::decode(data)
+        .map_err(|e| format!("bad ensemble request: {e}"))
+        .and_then(|req| {
+            (0..req.ens.n_shards())
+                .try_for_each(|i| {
+                    admit_cosmology(&req.ens.shard_cosmo(i)).map_err(|e| format!("shard {i}: {e}"))
+                })
+                .map(|()| req)
+        });
+    let req = match req {
         Ok(req) => req,
-        Err(e) => {
-            let text = format!("bad ensemble request: {e}");
+        Err(text) => {
             metrics.errors.inc();
             tlog::log(
                 Level::Error,
@@ -897,6 +909,16 @@ fn serve_metrics(listener: TcpListener, metrics: &ServiceMetrics, queue_limit: u
 
 fn spec_error_text(e: &SpecDecodeError) -> String {
     format!("bad spectrum request: {e:?}")
+}
+
+/// Refuse a cosmology the engine cannot evolve — unphysical parameters
+/// (which would panic a worker's table build) or a curved background
+/// (which would fail every mode) — before the cache or the pool sees it.
+fn admit_cosmology(cosmo: &CosmoParams) -> Result<(), String> {
+    cosmo
+        .check()
+        .and_then(|()| require_flat(cosmo).map_err(|e| e.to_string()))
+        .map_err(|why| format!("unsupported cosmology: {why}"))
 }
 
 // ---------------------------------------------------------------- client

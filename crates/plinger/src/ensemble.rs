@@ -35,13 +35,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use background::CosmoParams;
-use msgpass::World;
 use telemetry::log::{self as tlog, Level};
 
 use crate::error::FarmError;
 use crate::farm::FarmReport;
 use crate::master::JobControl;
-use crate::pool::{FarmPool, TcpFarmPool};
+use crate::pool::{FarmPool, Launcher};
 use crate::protocol::{hash_reals, job_hash, RunSpec, SpecDecodeError};
 use crate::schedule::SchedulePolicy;
 
@@ -345,9 +344,10 @@ impl EnsembleReport {
 }
 
 /// The pool-side contract the ensemble scheduler drives: one job with
-/// optional control and a next-job prefetch hint.  Implemented by both
-/// [`FarmPool`] and [`TcpFarmPool`]; tests substitute a scripted pool
-/// to exercise shard-level recovery without physics.
+/// optional control and a next-job prefetch hint.  Implemented by
+/// [`FarmPool`] over every launcher (threads or subprocesses); tests
+/// substitute a scripted pool to exercise shard-level recovery without
+/// physics.
 pub trait ShardRunner {
     /// Run one shard's job, optionally announcing the next shard.
     fn run_shard(
@@ -359,19 +359,7 @@ pub trait ShardRunner {
     ) -> Result<FarmReport, FarmError>;
 }
 
-impl<W: World> ShardRunner for FarmPool<W> {
-    fn run_shard(
-        &mut self,
-        spec: &RunSpec,
-        policy: SchedulePolicy,
-        ctrl: &JobControl<'_>,
-        prefetch: Option<&RunSpec>,
-    ) -> Result<FarmReport, FarmError> {
-        self.run_job_prefetched(spec, policy, ctrl, prefetch)
-    }
-}
-
-impl ShardRunner for TcpFarmPool {
+impl<L: Launcher> ShardRunner for FarmPool<L> {
     fn run_shard(
         &mut self,
         spec: &RunSpec,

@@ -7,14 +7,13 @@
 //! everything into a [`FarmReport`].  The same `Farm::<W>::run` drives
 //! the channel, shared-memory, and in-process TCP transports — the
 //! paper's "same Fortran over PVM, MPI, MPL, PVMe" claim, as one
-//! generic type.  The multi-process TCP deployment, whose workers are
-//! OS subprocesses rather than threads, is [`run_tcp_processes`] (one
-//! job on a [`TcpFarmPool`]) with [`run_tcp_worker`] on the worker side.
+//! generic type.  The multi-process TCP deployment is the same pool
+//! with OS-subprocess workers: [`run_tcp_processes`] runs one job on a
+//! [`TcpFarmPool`], and [`run_tcp_worker`] is the worker side.
 
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use background::Background;
@@ -29,7 +28,7 @@ use crate::error::FarmError;
 use crate::master::{FaultHold, MasterConfig};
 use crate::pool::{FarmPool, PoolOptions, TcpFarmPool};
 use crate::protocol::RunSpec;
-use crate::recovery::{RecoveryLog, RecoveryPolicy, WorkerEvent};
+use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::report::FarmTelemetry;
 use crate::schedule::SchedulePolicy;
 use crate::worker::{worker_pool_session, WorkerFault, WorkerStats};
@@ -458,28 +457,6 @@ pub fn parse_worker_fault(s: &str) -> Option<WorkerFault> {
     }
 }
 
-pub(crate) fn spawn_tcp_worker(
-    exe: &Path,
-    addr: SocketAddr,
-    rank: Rank,
-    size: usize,
-    fault: Option<String>,
-) -> Result<Child, FarmError> {
-    let mut cmd = Command::new(exe);
-    cmd.arg("--tcp-worker")
-        .arg(addr.to_string())
-        .arg(rank.to_string())
-        .arg(size.to_string());
-    if let Some(f) = fault {
-        cmd.arg(f);
-    }
-    cmd.stdin(Stdio::null()).spawn().map_err(|e| {
-        FarmError::Setup(msgpass::CommError::Protocol(format!(
-            "spawning worker {rank} failed: {e}"
-        )))
-    })
-}
-
 /// Run the farm with OS-subprocess workers over localhost TCP: a
 /// [`TcpFarmPool`] that runs one job and shuts down.  The master binds
 /// an ephemeral port, spawns `n_workers` copies of `exe` with the
@@ -500,57 +477,6 @@ pub fn run_tcp_processes(
     opts: &TcpFarmOptions,
 ) -> Result<FarmReport, FarmError> {
     TcpFarmPool::start(n_workers, exe, opts)?.run_once(spec, policy)
-}
-
-/// One poll of the subprocess liveness watch: reap exited children,
-/// relaunch abnormal exits while the respawn budget lasts (re-admitting
-/// the replacement under the same rank through the kept listening
-/// `port`), and report the casualties.  `handled[i]` records that rank
-/// `i + 1`'s corpse was already reported or replaced — `try_wait` keeps
-/// answering for a reaped child, so the gate makes each respawn attempt
-/// happen exactly once.  The liveness watch of [`TcpFarmPool`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn watch_tcp_children(
-    children: &mut [Child],
-    handled: &mut [bool],
-    respawns_left: &mut usize,
-    exe: &Path,
-    addr: SocketAddr,
-    size: usize,
-    port: &msgpass::tcp::RespawnPort,
-) -> Vec<WorkerEvent> {
-    let mut events = Vec::new();
-    for i in 0..children.len() {
-        let rank = i + 1;
-        let status = match children[i].try_wait() {
-            Ok(None) => continue,
-            Ok(Some(st)) => Some(st),
-            Err(_) => None,
-        };
-        if handled[i] {
-            events.push(WorkerEvent::Dead(rank));
-            continue;
-        }
-        handled[i] = true;
-        // a clean exit is a worker that took its stop (or a scripted
-        // vanish, which exits with a marker code); only abnormal
-        // exits are worth a replacement process
-        let abnormal = status.map(|st| !st.success()).unwrap_or(true);
-        if abnormal && *respawns_left > 0 {
-            let replacement = spawn_tcp_worker(exe, addr, rank, size, None)
-                .ok()
-                .and_then(|c| port.admit(rank, Duration::from_secs(10)).ok().map(|_| c));
-            if let Some(c) = replacement {
-                *respawns_left -= 1;
-                children[i] = c;
-                handled[i] = false;
-                events.push(WorkerEvent::Respawned(rank));
-                continue;
-            }
-        }
-        events.push(WorkerEvent::Dead(rank));
-    }
-    events
 }
 
 /// Entry point for a `--tcp-worker` subprocess: connect to the master

@@ -15,12 +15,14 @@
 //! simple method by which we minimized this idle time"), and the timing
 //! accounting behind the paper's Figure 1 and §5.1 flop rates.
 //!
-//! The farm has one lifecycle: a pool of resident workers
-//! ([`FarmPool`] over threads, [`TcpFarmPool`] over subprocesses) that
-//! serves k-grid jobs until it is shut down.  [`Farm`] is the one-job
-//! entry point — start a pool, run one job, shut it down — returning a
-//! [`FarmReport`] or a typed [`FarmError`] naming exactly what failed,
-//! with no panics on the communication path.
+//! The farm has one lifecycle: one pool of resident workers,
+//! [`FarmPool`], that serves k-grid jobs until it is shut down.  Its
+//! [`Launcher`] says how the workers run: threads on any `World`, or
+//! OS subprocesses ([`TcpFarmPool`] is the pool over [`Subprocesses`]).
+//! [`Farm`] is the one-job entry point — start a pool, run one job,
+//! shut it down — returning a [`FarmReport`] or a typed [`FarmError`]
+//! naming exactly what failed, with no panics on the communication
+//! path.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -50,7 +52,7 @@ pub use farm::{
     TcpFarmOptions,
 };
 pub use master::{master_job_session, JobControl, MasterConfig, MasterLedger};
-pub use pool::{FarmPool, PoolOptions, PoolShutdown, Session, TcpFarmPool};
+pub use pool::{FarmPool, Launcher, PoolOptions, PoolShutdown, Session, Subprocesses, TcpFarmPool};
 pub use protocol::{
     cosmo_hash, hash_reals, job_hash, RunSpec, SpecDecodeError, TAG_ASSIGN, TAG_CANCEL, TAG_DATA,
     TAG_FAIL, TAG_HEADER, TAG_HEARTBEAT, TAG_INIT, TAG_JOBDONE, TAG_NEWJOB, TAG_PREFETCH,

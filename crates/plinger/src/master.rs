@@ -749,9 +749,9 @@ impl Session<'_> {
 /// sessions (tag 6) is the pool's business, not the job's.
 ///
 /// `watch` is polled between probes and must report liveness changes
-/// (thread pools report workers whose session returned; process pools
-/// report children that exited, and may report a respawn after
-/// re-handshaking a replacement).  Under [`RecoveryPolicy::FailFast`] a
+/// (the pool's watch reports ranks whose worker ended — a returned
+/// thread or an exited child — or a respawn after relaunching a
+/// replacement under the same rank).  Under [`RecoveryPolicy::FailFast`] a
 /// dead rank that was never released aborts the job with
 /// [`FarmError::WorkerLost`] after draining the survivors; under
 /// [`RecoveryPolicy::Requeue`] its work is redistributed.

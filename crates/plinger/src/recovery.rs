@@ -30,9 +30,9 @@ pub enum RecoveryPolicy {
     Requeue {
         /// Dispatch budget per mode (≥ 1; the first dispatch counts).
         max_attempts: usize,
-        /// Allow respawn where the deployment has a budget for it (a
-        /// `TcpFarmPool`, or a `FarmPool` with a nonzero
-        /// `PoolOptions::respawn_limit`); a one-job thread `Farm` has
+        /// Allow respawn where the pool has a budget for it (a nonzero
+        /// `PoolOptions::respawn_limit` or
+        /// `TcpFarmOptions::respawn_limit`); a one-job thread `Farm` has
         /// none.
         respawn: bool,
     },

@@ -583,3 +583,44 @@ fn client_errors_print_usage_only_for_bad_arguments() {
     );
     assert!(stderr.contains("usage:"), "usage missing: {stderr}");
 }
+
+#[test]
+fn out_of_scope_cosmologies_are_refused_at_admission() {
+    let (mut server, mut reader, addr) = start_server(4);
+
+    // an open budget (Ω_k ≈ 0.45) would fail every mode, and h = 5
+    // would panic a worker's table build: both are refused with the
+    // typed bad-request frame before the cache or the pool sees them,
+    // and so is a sweep with one such shard
+    let refused: [(&[&str], &str); 3] = [
+        (&["--omega-c", "0.5"], "flat"),
+        (&["--h", "5"], "h out of range"),
+        (&["--ensemble", "--sweep-h", "0.5,5"], "shard 1"),
+    ];
+    for (flags, why) in refused {
+        let mut args = vec!["--nk", "3"];
+        args.extend_from_slice(flags);
+        let out = client_raw(&addr, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flags:?} was served");
+        assert!(
+            stderr.contains("bad-request") && stderr.contains(why),
+            "{flags:?}: {stderr}"
+        );
+    }
+
+    // the pool never saw them: a valid request runs on both workers
+    let ok = client(&addr, &["--nk", "3", "--metrics"]);
+    assert_eq!(ok["cache_hit"], "0");
+    assert_eq!(ok["outputs"], "3");
+    assert_eq!(ok["alive"], "2", "a refused request cost a worker");
+
+    let status = server.wait().expect("server exit");
+    assert!(status.success(), "server exited with {status}");
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).expect("read summary");
+    assert!(
+        rest.contains("misses=1, pool jobs=1"),
+        "unexpected summary: {rest:?}"
+    );
+}

@@ -316,9 +316,11 @@ done
 
 echo "== warm-pool determinism =="
 # pooled jobs must stay bitwise-identical to fresh farms with caches
-# rebuilt only on cosmology change, and the canonical hashes the
-# caches key on are pinned to golden values
-cargo test -q -p plinger --test pool_sessions --test canonical_hash --test serve
+# rebuilt only on cosmology change, on worker threads and worker
+# processes alike (launchers), and the canonical hashes the caches key
+# on are pinned to golden values
+cargo test -q -p plinger --test pool_sessions --test canonical_hash --test serve \
+    --test launchers
 
 echo "== ensemble differential layer =="
 # the two-level sweep scheduler pinned bitwise against the serial loop
